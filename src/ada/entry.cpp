@@ -51,7 +51,7 @@ void EntryBase::wait_for_caller() {
                 "two tasks accepting the same entry " + name_);
   waiting_acceptor_ = sched_->current();
   try {
-    sched_->block("accept " + name_);
+    sched_->block({"accept ", name_});
   } catch (...) {
     // Crashed while committed to this accept: withdraw the commitment
     // so a later caller does not try to wake a dead acceptor.
@@ -123,7 +123,7 @@ void EntryBase::unwind_call(PendingCall* pc) {
   // started rendezvous runs to completion — park until it has finished,
   // then resume dying. The scheduler tolerates this deferred death.
   while (pc->taken && !pc->done && !pc->failed)
-    sched_->block("entry call " + name_ + " (finishing rendezvous)",
+    sched_->block({"entry call ", name_, " (finishing rendezvous)"},
                   owner_);
 }
 

@@ -115,7 +115,7 @@ class Entry : public EntryBase {
     calls_.push_back(&pc);
     on_call_arrived();
     try {
-      sched_->block("entry call " + name_, owner_);
+      sched_->block({"entry call ", name_}, owner_);
     } catch (...) {
       unwind_call(&pc);
       throw;
@@ -154,7 +154,7 @@ class Entry : public EntryBase {
     bool timed_out = false;
     try {
       timed_out = sched_->block_with_timeout(
-          "timed entry call " + name_, ticks,
+          {"timed entry call ", name_}, ticks,
           [this, &pc] {
             if (!pc.taken) withdraw(&pc);
           },
@@ -162,7 +162,7 @@ class Entry : public EntryBase {
       while (timed_out && pc.taken && !pc.done && !pc.failed) {
         // Accepted just as the timer fired: the rendezvous must finish.
         timed_out = false;
-        sched_->block("entry call " + name_ + " (rendezvous in progress)",
+        sched_->block({"entry call ", name_, " (rendezvous in progress)"},
                       owner_);
       }
     } catch (...) {

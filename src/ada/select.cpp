@@ -92,8 +92,7 @@ int Select::run() {
               "select (delay)", deadline - now, deregister);
         }
       } else {
-        sched_->block("select on " +
-                      std::to_string(open.size()) + " entries");
+        sched_->block({"select on ", std::to_string(open.size()), " entries"});
       }
       chosen = pick_ready(open);
       if (chosen != kNone || timed_out) break;

@@ -53,11 +53,12 @@ int Alternative::select() {
     PendingOp* parked;
   };
   std::vector<Candidate> ready;
+  std::vector<PendingOp*> matches;
   for (const int bi : viable) {
     const Branch& b = branches_[static_cast<std::size_t>(bi)];
-    for (PendingOp* op :
-         net.find_matches(b.dir, me, b.peer, b.peer_set, b.tag, b.type))
-      ready.push_back({bi, op});
+    matches.clear();
+    net.find_matches(b.dir, me, b.peer, b.peer_set, b.tag, b.type, matches);
+    for (PendingOp* op : matches) ready.push_back({bi, op});
   }
   if (!ready.empty()) {
     const Candidate c =
@@ -104,8 +105,8 @@ int Alternative::select() {
     }
   };
   GroupUnlinkGuard guard{&net, &ops};
-  net.scheduler().block("alternative (" + std::to_string(viable.size()) +
-                        " branches)");
+  net.scheduler().block(
+      {"alternative (", std::to_string(viable.size()), " branches)"});
 
   if (group.all_failed) return kFailed;
   SCRIPT_ASSERT(group.chosen >= 0, "alternative woke without a choice");

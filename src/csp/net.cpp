@@ -8,6 +8,8 @@ namespace script::csp {
 
 using detail::AltGroup;
 using detail::Dir;
+using detail::OpLinks;
+using detail::OpList;
 using detail::PendingOp;
 
 namespace {
@@ -23,6 +25,40 @@ struct UnlinkGuard {
     if (op->linked) (net->*unlink)(op);
   }
 };
+
+template <OpLinks PendingOp::*L>
+void list_push(OpList& list, PendingOp* op) {
+  (op->*L).prev = list.tail;
+  (op->*L).next = nullptr;
+  if (list.tail != nullptr)
+    (list.tail->*L).next = op;
+  else
+    list.head = op;
+  list.tail = op;
+}
+
+template <OpLinks PendingOp::*L>
+void list_erase(OpList& list, PendingOp* op) {
+  OpLinks& links = op->*L;
+  if (links.prev != nullptr)
+    (links.prev->*L).next = links.next;
+  else
+    list.head = links.next;
+  if (links.next != nullptr)
+    (links.next->*L).prev = links.prev;
+  else
+    list.tail = links.prev;
+  links = OpLinks{};
+}
+
+OpList& grow_to(std::vector<OpList>& lists, ProcessId pid) {
+  if (pid >= lists.size()) lists.resize(pid + 1);
+  return lists[pid];
+}
+
+bool by_owner_then_seq(const PendingOp* a, const PendingOp* b) {
+  return a->owner != b->owner ? a->owner < b->owner : a->seq < b->seq;
+}
 
 }  // namespace
 
@@ -52,25 +88,64 @@ bool Net::is_terminated(ProcessId pid) const {
   return pid < terminated_.size() && terminated_[pid];
 }
 
+OpList& Net::peer_list(const PendingOp& op) {
+  return op.peer == kAnyProcess ? open_[static_cast<int>(op.dir)]
+                                : grow_to(by_peer_, op.peer);
+}
+
 void Net::link(PendingOp* op) {
-  pending_[op->tag][op->owner].push_back(op);
+  op->seq = link_seq_++;
+  list_push<&PendingOp::by_owner>(grow_to(by_owner_, op->owner), op);
+  list_push<&PendingOp::by_peer>(peer_list(*op), op);
   op->linked = true;
   ++pending_count_;
 }
 
 void Net::unlink(PendingOp* op) {
-  const auto bucket = pending_.find(op->tag);
-  SCRIPT_ASSERT(bucket != pending_.end(), "unlink: tag bucket missing");
-  const auto shelf = bucket->second.find(op->owner);
-  SCRIPT_ASSERT(shelf != bucket->second.end(), "unlink: owner shelf missing");
-  auto& ops = shelf->second;
-  const auto it = std::find(ops.begin(), ops.end(), op);
-  SCRIPT_ASSERT(it != ops.end(), "unlink: op not parked");
-  ops.erase(it);
-  if (ops.empty()) bucket->second.erase(shelf);
-  if (bucket->second.empty()) pending_.erase(bucket);
+  SCRIPT_ASSERT(op->linked, "unlink: op not parked");
+  list_erase<&PendingOp::by_owner>(by_owner_[op->owner], op);
+  list_erase<&PendingOp::by_peer>(peer_list(*op), op);
   op->linked = false;
   --pending_count_;
+}
+
+void Net::check_group(ProcessId me) {
+  const runtime::GroupId g = sched_->group_of(me);
+  if (group_.load(std::memory_order_relaxed) == g) return;
+  runtime::GroupId first = runtime::kInheritGroup;
+  if (group_.compare_exchange_strong(first, g, std::memory_order_relaxed))
+    return;
+  SCRIPT_ASSERT(first == g,
+                "csp::Net used from two scheduler groups (" +
+                    std::to_string(first) + " and " + std::to_string(g) +
+                    "): give each group its own Net");
+}
+
+std::vector<PendingOp*> Net::collect(Sweep what, ProcessId peer,
+                                     std::string_view prefix) {
+  std::vector<PendingOp*> out;
+  auto take = [&](PendingOp* op) {
+    if (op->tag.substr(0, prefix.size()) == prefix) out.push_back(op);
+  };
+  if (what == Sweep::All) {
+    for (const OpList& list : by_owner_)
+      for (PendingOp* op = list.head; op != nullptr; op = op->by_owner.next)
+        take(op);
+  } else {
+    if (peer < by_peer_.size())
+      for (PendingOp* op = by_peer_[peer].head; op != nullptr;
+           op = op->by_peer.next)
+        take(op);
+    for (const OpList& list : open_)
+      for (PendingOp* op = list.head; op != nullptr; op = op->by_peer.next)
+        if (!op->peer_set.empty()) take(op);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const PendingOp* a, const PendingOp* b) {
+              if (const int c = a->tag.compare(b->tag); c != 0) return c < 0;
+              return by_owner_then_seq(a, b);
+            });
+  return out;
 }
 
 void Net::mark_terminated(ProcessId pid) {
@@ -78,13 +153,16 @@ void Net::mark_terminated(ProcessId pid) {
   if (terminated_[pid]) return;
   terminated_[pid] = true;
 
-  // Fail every parked offer whose partner(s) can no longer arrive.
-  // Snapshot first: failing an alt branch unlinks sibling ops.
-  std::vector<PendingOp*> snapshot;
-  for (const auto& [tag, bucket] : pending_)
-    for (const auto& [owner, ops] : bucket)
-      snapshot.insert(snapshot.end(), ops.begin(), ops.end());
-  for (PendingOp* op : snapshot) {
+  if (pid < by_owner_.size())
+    for (const PendingOp* op = by_owner_[pid].head; op != nullptr;
+         op = op->by_owner.next)
+      SCRIPT_ASSERT(op->ghost,
+                    "process terminated while it still has parked offers");
+
+  // Fail every parked offer whose partner(s) can no longer arrive: the
+  // ones naming `pid`, and peer-set offers whose whole set is now gone.
+  // Collect first: failing an alt branch unlinks sibling ops.
+  for (PendingOp* op : collect(Sweep::PeerAndSets, pid, {})) {
     if (!op->linked)
       continue;  // already removed (e.g. sibling of a failed alt branch)
     if (op->ghost) {
@@ -96,8 +174,6 @@ void Net::mark_terminated(ProcessId pid) {
       }
       continue;
     }
-    SCRIPT_ASSERT(op->owner != pid,
-                  "process terminated while it still has parked offers");
     bool dead = false;
     if (op->peer != kAnyProcess) {
       dead = op->peer == pid;
@@ -126,14 +202,7 @@ void Net::fail_op(PendingOp* op) {
 }
 
 void Net::fail_tagged(const std::string& prefix) {
-  std::vector<PendingOp*> snapshot;
-  for (auto it = pending_.lower_bound(prefix);
-       it != pending_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it)
-    for (const auto& [owner, ops] : it->second)
-      snapshot.insert(snapshot.end(), ops.begin(), ops.end());
-  for (PendingOp* op : snapshot) {
+  for (PendingOp* op : collect(Sweep::All, kNoProcess, prefix)) {
     if (!op->linked) continue;  // sibling of a failed alt branch
     if (op->ghost) {
       unlink(op);
@@ -146,31 +215,21 @@ void Net::fail_tagged(const std::string& prefix) {
 
 void Net::rebind_peer(ProcessId old_peer, ProcessId fresh,
                       const std::string& prefix) {
-  for (auto it = pending_.lower_bound(prefix);
-       it != pending_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    for (const auto& [owner, ops] : it->second) {
-      for (PendingOp* op : ops) {
-        if (op->ghost) continue;
-        if (op->peer == old_peer) op->peer = fresh;
-        std::replace(op->peer_set.begin(), op->peer_set.end(), old_peer,
-                     fresh);
-      }
+  for (PendingOp* op : collect(Sweep::PeerAndSets, old_peer, prefix)) {
+    if (op->ghost) continue;
+    if (op->peer == old_peer) {
+      // Re-file under the new addressee.
+      list_erase<&PendingOp::by_peer>(peer_list(*op), op);
+      op->peer = fresh;
+      list_push<&PendingOp::by_peer>(peer_list(*op), op);
     }
+    std::replace(op->peer_set.begin(), op->peer_set.end(), old_peer, fresh);
   }
 }
 
 void Net::retire_peer(ProcessId peer, const std::string& prefix) {
-  // Snapshot first: fail_op unlinks, which mutates the buckets.
-  std::vector<PendingOp*> snapshot;
-  for (auto it = pending_.lower_bound(prefix);
-       it != pending_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it)
-    for (const auto& [owner, ops] : it->second)
-      snapshot.insert(snapshot.end(), ops.begin(), ops.end());
-  for (PendingOp* op : snapshot) {
+  // Collect first: fail_op unlinks, which mutates the index.
+  for (PendingOp* op : collect(Sweep::PeerAndSets, peer, prefix)) {
     if (!op->linked || op->ghost) continue;
     if (op->owner == peer) continue;
     if (op->peer == peer) {
@@ -186,28 +245,30 @@ void Net::retire_peer(ProcessId peer, const std::string& prefix) {
 }
 
 void Net::add_ghost(ProcessId sender, ProcessId receiver,
-                    const std::string& tag, std::type_index type,
+                    std::string_view tag, std::type_index type,
                     Message value) {
-  auto g = std::make_unique<PendingOp>();
-  g->dir = Dir::Send;
-  g->owner = sender;
-  g->peer = receiver;
-  g->tag = tag;
-  g->type = type;
-  g->value = std::move(value);
-  g->ghost = true;
-  link(g.get());
+  auto g = std::make_unique<Ghost>();
+  g->tag = std::string(tag);
+  PendingOp& op = g->op;
+  op.dir = Dir::Send;
+  op.owner = sender;
+  op.peer = receiver;
+  op.tag = g->tag;
+  op.type = type;
+  op.value = std::move(value);
+  op.ghost = true;
+  link(&op);
   if (sched_->bus().wants(obs::Subsystem::Fault))
     sched_->bus().publish({obs::EventKind::Instant, obs::Subsystem::Fault,
                            obs::kAutoTime, sender, obs::kNoLane,
-                           "fault.duplicate", tag});
+                           "fault.duplicate", g->tag});
   ghosts_.push_back(std::move(g));
 }
 
 void Net::free_ghost(PendingOp* op) {
   const auto it = std::find_if(
       ghosts_.begin(), ghosts_.end(),
-      [op](const std::unique_ptr<PendingOp>& g) { return g.get() == op; });
+      [op](const std::unique_ptr<Ghost>& g) { return &g->op == op; });
   SCRIPT_ASSERT(it != ghosts_.end(), "free_ghost: not a ghost op");
   ghosts_.erase(it);
 }
@@ -218,6 +279,14 @@ PendingOp* Net::choose(const std::vector<PendingOp*>& matches) {
              : matches[sched_->rng().pick_index(matches.size())];
 }
 
+PendingOp* Net::pick_match(Dir my_dir, ProcessId me, ProcessId my_peer,
+                           const std::vector<ProcessId>& my_peer_set,
+                           std::string_view tag, std::type_index type) {
+  matches_.clear();
+  find_matches(my_dir, me, my_peer, my_peer_set, tag, type, matches_);
+  return matches_.empty() ? nullptr : choose(matches_);
+}
+
 Result<void> Net::send_erased(ProcessId to, const std::string& tag,
                               Message value, std::type_index type,
                               std::uint64_t timeout_ticks) {
@@ -225,9 +294,7 @@ Result<void> Net::send_erased(ProcessId to, const std::string& tag,
   if (is_terminated(to))
     return support::make_unexpected(CommError::PeerTerminated);
 
-  const auto matches = find_matches(Dir::Send, me, to, {}, tag, type);
-  if (!matches.empty()) {
-    PendingOp* pick = choose(matches);
+  if (PendingOp* pick = pick_match(Dir::Send, me, to, {}, tag, type)) {
     runtime::FaultPlan* plan = sched_->fault_plan();
     if (plan != nullptr && plan->has_message_faults() &&
         plan->should_drop(tag)) {
@@ -254,7 +321,7 @@ Result<void> Net::send_erased(ProcessId to, const std::string& tag,
   op.value = std::move(value);
   UnlinkGuard guard{this, &op, &Net::unlink};
   link(&op);
-  const std::string reason = "! " + sched_->name_of(to) + " tag=" + tag;
+  const runtime::BlockReason reason{"! ", sched_->name_of(to), " tag=", tag};
   if (timeout_ticks == kNoTimeout) {
     sched_->block(reason, to);
   } else {
@@ -281,11 +348,8 @@ Result<std::pair<ProcessId, Message>> Net::recv_erased(
   // in-flight duplicate from a since-dead sender must still arrive (it
   // already left that sender). Non-ghost offers from terminated owners
   // cannot exist, so this reordering only affects ghosts.
-  for (;;) {
-    const auto matches =
-        find_matches(Dir::Recv, me, from, peer_set, tag, type);
-    if (matches.empty()) break;
-    PendingOp* pick = choose(matches);
+  while (PendingOp* pick =
+             pick_match(Dir::Recv, me, from, peer_set, tag, type)) {
     if (faulty && !pick->ghost && plan->should_drop(tag)) {
       // Complete the parked send so the sender believes it delivered,
       // then lose the payload; keep looking (or park below).
@@ -317,9 +381,10 @@ Result<std::pair<ProcessId, Message>> Net::recv_erased(
   op.type = type;
   UnlinkGuard guard{this, &op, &Net::unlink};
   link(&op);
-  const std::string who =
-      from == kAnyProcess ? std::string("any") : sched_->name_of(from);
-  const std::string reason = "? " + who + " tag=" + tag;
+  const std::string_view who = from == kAnyProcess
+                                   ? std::string_view("any")
+                                   : std::string_view(sched_->name_of(from));
+  const runtime::BlockReason reason{"? ", who, " tag=", tag};
   const ProcessId hint = from == kAnyProcess ? kNoProcess : from;
   if (timeout_ticks == kNoTimeout) {
     sched_->block(reason, hint);
@@ -360,31 +425,40 @@ bool Net::op_matches(const PendingOp& parked, Dir my_dir, ProcessId me,
                      parked.owner) != my_peer_set.end()));
 }
 
-std::vector<PendingOp*> Net::find_matches(
-    Dir my_dir, ProcessId me, ProcessId my_peer,
-    const std::vector<ProcessId>& my_peer_set, const std::string& tag,
-    std::type_index type) const {
-  std::vector<PendingOp*> out;
-  const auto bucket = pending_.find(tag);
-  if (bucket == pending_.end()) return out;
-  auto scan_shelf = [&](ProcessId owner) {
-    const auto shelf = bucket->second.find(owner);
-    if (shelf == bucket->second.end()) return;
-    for (PendingOp* op : shelf->second)
-      if (op_matches(*op, my_dir, me, my_peer, my_peer_set, type))
-        out.push_back(op);
+void Net::find_matches(Dir my_dir, ProcessId me, ProcessId my_peer,
+                       const std::vector<ProcessId>& my_peer_set,
+                       std::string_view tag, std::type_index type,
+                       std::vector<PendingOp*>& out) {
+  check_group(me);
+  auto consider = [&](PendingOp* op) {
+    if (op->tag == tag &&
+        op_matches(*op, my_dir, me, my_peer, my_peer_set, type))
+      out.push_back(op);
+  };
+  auto scan_owner = [&](ProcessId owner) {
+    if (owner >= by_owner_.size()) return;
+    for (PendingOp* op = by_owner_[owner].head; op != nullptr;
+         op = op->by_owner.next)
+      consider(op);
   };
   if (my_peer != kAnyProcess) {
-    scan_shelf(my_peer);  // a match can only be owned by my named peer
+    scan_owner(my_peer);  // a match can only be owned by my named peer
   } else if (!my_peer_set.empty()) {
-    for (const ProcessId p : my_peer_set) scan_shelf(p);
+    for (const ProcessId p : my_peer_set) scan_owner(p);
   } else {
-    for (const auto& [owner, ops] : bucket->second)
-      for (PendingOp* op : ops)
-        if (op_matches(*op, my_dir, me, my_peer, my_peer_set, type))
-          out.push_back(op);
+    // Anonymous: a match must name me, or accept anyone.
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    if (me < by_peer_.size())
+      for (PendingOp* op = by_peer_[me].head; op != nullptr;
+           op = op->by_peer.next)
+        consider(op);
+    const int other = my_dir == Dir::Send ? static_cast<int>(Dir::Recv)
+                                          : static_cast<int>(Dir::Send);
+    for (PendingOp* op = open_[other].head; op != nullptr;
+         op = op->by_peer.next)
+      consider(op);
+    std::sort(out.begin() + first, out.end(), by_owner_then_seq);
   }
-  return out;
 }
 
 Message Net::complete_with(PendingOp* parked, Dir my_dir, Message my_value) {
@@ -398,7 +472,7 @@ Message Net::complete_with(PendingOp* parked, Dir my_dir, Message my_value) {
     SCRIPT_ASSERT(my_dir == Dir::Recv, "ghost matched by a send");
     Message result = std::move(parked->value);
     const ProcessId sender = parked->owner;
-    const std::string tag = parked->tag;
+    const std::string tag(parked->tag);
     unlink(parked);
     free_ghost(parked);
     // The duplicate's payload still carries the (dead) sender's causal
@@ -442,7 +516,8 @@ Message Net::complete_with(PendingOp* parked, Dir my_dir, Message my_value) {
         sched_->bus().publish({obs::EventKind::Instant,
                                obs::Subsystem::Fault, obs::kAutoTime,
                                sender, obs::kNoLane, "fault.delay",
-                               parked->tag, static_cast<double>(extra)});
+                               std::string(parked->tag),
+                               static_cast<double>(extra)});
     }
     if (plan->should_duplicate(parked->tag))
       add_ghost(sender, receiver, parked->tag, parked->type,
@@ -451,21 +526,13 @@ Message Net::complete_with(PendingOp* parked, Dir my_dir, Message my_value) {
   if (sched_->bus().wants(obs::Subsystem::Csp))
     sched_->bus().publish({obs::EventKind::Instant, obs::Subsystem::Csp,
                            obs::kAutoTime, sender, obs::kNoLane,
-                           "rendezvous", parked->tag,
+                           "rendezvous", std::string(parked->tag),
                            static_cast<double>(lat)});
   // Completing a parked SEND hands its payload to me: a data-flow edge
   // the wake below (me -> sender) does not cover.
   if (my_dir == Dir::Recv) sched_->causal_edge(parked->owner, me, "msg");
   const ProcessId woken =
       parked->group != nullptr ? parked->group->owner : parked->owner;
-  // A Net's matching tables are unlocked: every communicator of one Net
-  // must live in the same scheduler group so rendezvous never crosses a
-  // worker. The parallel scheduler pins whole groups to workers, so this
-  // holds by construction when processes are placed via
-  // spawn_process_in_group; a mixed-group rendezvous is a placement bug.
-  SCRIPT_ASSERT(!sched_->parallel_mode() ||
-                    sched_->group_of(me) == sched_->group_of(woken),
-                "csp::Net rendezvous across scheduler groups");
   sched_->wake_at(woken, lat);
   if (lat > 0) sched_->sleep_for(lat);
   return result;

@@ -14,12 +14,13 @@
 // topology-shaped cost without a real network.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "csp/message.hpp"
@@ -50,6 +51,20 @@ namespace detail {
 enum class Dir : std::uint8_t { Send, Recv };
 
 struct AltGroup;
+struct PendingOp;
+
+/// Membership of one PendingOp in one of the Net's intrusive lists.
+struct OpLinks {
+  PendingOp* prev = nullptr;
+  PendingOp* next = nullptr;
+};
+
+/// Head and tail of an intrusive list of parked offers. The links live
+/// in the offers themselves, so parking allocates nothing.
+struct OpList {
+  PendingOp* head = nullptr;
+  PendingOp* tail = nullptr;
+};
 
 // One posted communication offer, parked in the Net until matched.
 struct PendingOp {
@@ -57,15 +72,19 @@ struct PendingOp {
   ProcessId owner;           // the process that posted the offer
   ProcessId peer;            // named partner, or kAnyProcess (recv only)
   std::vector<ProcessId> peer_set;  // non-empty: any of these (recv only)
-  std::string tag;
+  std::string_view tag;      // the poster's own string, never copied
   std::type_index type{typeid(void)};
   Message value;             // payload (Send) or delivery slot (Recv)
   ProcessId matched_with = kNoProcess;  // filled on completion
   bool failed = false;       // peer terminated while parked
-  bool linked = false;       // currently parked in the Net's buckets
+  bool linked = false;       // currently parked in the Net's index
   bool ghost = false;        // heap-owned in-flight duplicate (fault)
   AltGroup* group = nullptr; // non-null when part of an Alternative
   int branch = -1;           // branch index within the Alternative
+  // ---- Net index, valid while linked ----
+  std::uint64_t seq = 0;  // link order: FIFO among one owner's offers
+  OpLinks by_owner;       // in the owner's list
+  OpLinks by_peer;        // in the addressee's list, or the open list
 };
 
 // A blocked Alternative: all its branches are parked as one atomic group.
@@ -159,12 +178,11 @@ class Net {
   template <typename T>
   bool try_send(ProcessId to, const std::string& tag, T value) {
     if (is_terminated(to)) return false;
-    const auto matches =
-        find_matches(detail::Dir::Send, sched_->current(), to, {}, tag,
-                     std::type_index(typeid(T)));
-    if (matches.empty()) return false;
-    complete_with(choose(matches), detail::Dir::Send,
-                  Message::of<T>(std::move(value)));
+    detail::PendingOp* pick =
+        pick_match(detail::Dir::Send, sched_->current(), to, {}, tag,
+                   std::type_index(typeid(T)));
+    if (pick == nullptr) return false;
+    complete_with(pick, detail::Dir::Send, Message::of<T>(std::move(value)));
     return true;
   }
 
@@ -173,11 +191,10 @@ class Net {
   template <typename T>
   std::optional<std::pair<ProcessId, T>> try_recv(ProcessId from,
                                                   const std::string& tag) {
-    const auto matches =
-        find_matches(detail::Dir::Recv, sched_->current(), from, {}, tag,
-                     std::type_index(typeid(T)));
-    if (matches.empty()) return std::nullopt;
-    detail::PendingOp* pick = choose(matches);
+    detail::PendingOp* pick =
+        pick_match(detail::Dir::Recv, sched_->current(), from, {}, tag,
+                   std::type_index(typeid(T)));
+    if (pick == nullptr) return std::nullopt;
     const ProcessId sender = pick->owner;
     Message payload = complete_with(pick, detail::Dir::Recv, Message());
     return std::pair<ProcessId, T>{sender, payload.template as<T>()};
@@ -207,10 +224,9 @@ class Net {
   /// Re-point every parked offer under `prefix` that names `old_peer`
   /// (as sole partner or peer-set member) at `fresh` instead. Role
   /// takeover (FailurePolicy::Replace) uses this so survivors parked on
-  /// the crashed incarnation's pid rendezvous with its replacement —
-  /// offers stay linked under their tag and owner, so no re-bucketing
-  /// is needed. Ghosts FROM the old pid are left alone (a dead sender's
-  /// in-flight duplicate never delivers anyway).
+  /// the crashed incarnation's pid rendezvous with its replacement.
+  /// Ghosts FROM the old pid are left alone (a dead sender's in-flight
+  /// duplicate never delivers anyway).
   void rebind_peer(ProcessId old_peer, ProcessId fresh,
                    const std::string& prefix);
 
@@ -234,10 +250,13 @@ class Net {
   /// automatically (even if the body returns early).
   ProcessId spawn_process(std::string name, std::function<void()> body);
 
-  /// Same, but placed in an explicit scheduler group. Under the parallel
-  /// scheduler all communicators of one Net must share a group (the Net's
-  /// matching tables are unlocked); this is the placement hook for
-  /// running several independent Nets on different workers.
+  /// Same, but placed in an explicit scheduler group. All communicators
+  /// of one Net must share a group (under the parallel scheduler the
+  /// Net's matching tables are unlocked); this is the placement hook for
+  /// running several independent Nets on different workers. The Net
+  /// records the group of the first process that communicates through
+  /// it and asserts that every later send or receive comes from the
+  /// same group, in both scheduler modes.
   ProcessId spawn_process_in_group(runtime::GroupId gid, std::string name,
                                    std::function<void()> body);
 
@@ -258,30 +277,51 @@ class Net {
 
   /// Park a heap-owned duplicate of a just-delivered message; the
   /// receiver's next matching input takes it like any parked send.
-  void add_ghost(ProcessId sender, ProcessId receiver,
-                 const std::string& tag, std::type_index type,
-                 Message value);
+  void add_ghost(ProcessId sender, ProcessId receiver, std::string_view tag,
+                 std::type_index type, Message value);
   void free_ghost(detail::PendingOp* op);
 
   /// Nondeterministic choice among matching parked offers.
   detail::PendingOp* choose(const std::vector<detail::PendingOp*>& matches);
 
   // Matching helpers shared with Alternative. Parked offers are indexed
-  // by tag, then by owner (a send to P can only match offers OWNED by
-  // P), so named-peer lookups touch a handful of offers no matter how
-  // many are parked; only anonymous input scans its whole tag bucket.
+  // by owner (a send to P can only match offers OWNED by P) and by
+  // addressee (an anonymous input can only match offers that name its
+  // receiver, or that accept anyone), so every lookup touches the few
+  // offers that could match, no matter how many are parked.
   bool op_matches(const detail::PendingOp& parked, detail::Dir my_dir,
                   ProcessId me, ProcessId my_peer,
                   const std::vector<ProcessId>& my_peer_set,
                   std::type_index type) const;
-  std::vector<detail::PendingOp*> find_matches(
-      detail::Dir my_dir, ProcessId me, ProcessId my_peer,
-      const std::vector<ProcessId>& my_peer_set, const std::string& tag,
-      std::type_index type) const;
+  /// Append every parked offer that matches to `out`, in the order the
+  /// seeded choice draws over: named and anonymous lookups by owner
+  /// ascending, then link order; peer-set lookups in set order.
+  void find_matches(detail::Dir my_dir, ProcessId me, ProcessId my_peer,
+                    const std::vector<ProcessId>& my_peer_set,
+                    std::string_view tag, std::type_index type,
+                    std::vector<detail::PendingOp*>& out);
+  /// find_matches + choose, through a scratch buffer that keeps its
+  /// capacity; nullptr when nothing matches.
+  detail::PendingOp* pick_match(detail::Dir my_dir, ProcessId me,
+                                ProcessId my_peer,
+                                const std::vector<ProcessId>& my_peer_set,
+                                std::string_view tag, std::type_index type);
+  /// Asserts the one-Net-per-group rule for a communicating process.
+  void check_group(ProcessId me);
 
-  /// Park / unpark an offer in its tag bucket.
+  /// Park / unpark an offer in the index.
   void link(detail::PendingOp* op);
   void unlink(detail::PendingOp* op);
+  /// The addressee's list, or the open list for kAnyProcess offers.
+  detail::OpList& peer_list(const detail::PendingOp& op);
+
+  /// Collect parked offers whose tag starts with `prefix`, sorted the
+  /// way a sweep (termination, abort, retirement) visits them: tag,
+  /// then owner, then link order. PeerAndSets takes the offers naming
+  /// `peer` plus every peer-set offer; All takes every parked offer.
+  enum class Sweep : std::uint8_t { PeerAndSets, All };
+  std::vector<detail::PendingOp*> collect(Sweep what, ProcessId peer,
+                                          std::string_view prefix);
 
   /// Complete the rendezvous between the running fiber and a parked op:
   /// transfers the payload, unlinks the parked op (and collapses its
@@ -298,14 +338,24 @@ class Net {
   // Raw pointers: each PendingOp lives on its poster's fiber stack, which
   // is pinned while the poster is blocked; the matcher unlinks it before
   // waking the poster.
-  using Bucket = std::map<ProcessId, std::vector<detail::PendingOp*>>;
-  std::map<std::string, Bucket> pending_;
+  std::vector<detail::OpList> by_owner_;  // indexed by ProcessId
+  std::vector<detail::OpList> by_peer_;   // offers naming that ProcessId
+  detail::OpList open_[2];  // kAnyProcess offers, indexed by Dir
+  std::uint64_t link_seq_ = 0;
   std::size_t pending_count_ = 0;
+  std::vector<detail::PendingOp*> matches_;  // pick_match scratch
   std::vector<bool> terminated_;  // indexed by ProcessId
   std::uint64_t rendezvous_count_ = 0;
+  // Group of the first communicator; kInheritGroup until then.
+  std::atomic<runtime::GroupId> group_{runtime::kInheritGroup};
   // In-flight duplicates (FaultPlan::duplicate_message) are the one kind
-  // of parked op with no fiber stack to live on; the Net owns them.
-  std::vector<std::unique_ptr<detail::PendingOp>> ghosts_;
+  // of parked op with no fiber stack to live on; the Net owns them, with
+  // the tag they view.
+  struct Ghost {
+    std::string tag;
+    detail::PendingOp op;
+  };
+  std::vector<std::unique_ptr<Ghost>> ghosts_;
   std::uint64_t crash_hook_id_ = 0;
 };
 

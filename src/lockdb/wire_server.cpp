@@ -1,8 +1,11 @@
 #include "lockdb/wire_server.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <system_error>
 
 namespace script::lockdb {
 
@@ -16,6 +19,18 @@ std::vector<std::string> tokens(const std::string& s) {
   std::string t;
   while (in >> t) out.push_back(t);
   return out;
+}
+
+/// The whole token as an unsigned decimal, or nullopt. Peer bytes may
+/// say anything: a sign, trailing junk or an out-of-range value must be
+/// refused, not thrown or wrapped.
+template <typename T>
+std::optional<T> parse_number(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return v;
 }
 
 std::string escape(const std::string& s) {
@@ -337,30 +352,39 @@ void WireReplica::handle(const runtime::Wire::Msg& m) {
   auto reply = [&](const std::string& payload) {
     wire_->post(m.from, rtag, payload);
   };
+  auto bad_request = [&] {
+    ++bad_requests_;
+    reply("err bad request");
+  };
 
   if (op == "acq" && tok.size() == 6) {
     // acq <r> <txn> <item> <S|X> <lease_ticks>
-    const auto txn = static_cast<OwnerId>(std::stoul(tok[2]));
+    const auto txn = parse_number<OwnerId>(tok[2]);
+    const auto lease = parse_number<std::uint64_t>(tok[5]);
+    const std::uint64_t now = sched_->now();
+    if (!txn || !lease || (tok[4] != "S" && tok[4] != "X") ||
+        *lease > std::numeric_limits<std::uint64_t>::max() - now)
+      return bad_request();
     const LockMode mode =
         tok[4] == "X" ? LockMode::Exclusive : LockMode::Shared;
-    const std::uint64_t lease = std::stoull(tok[5]);
-    table_->reap_expired(sched_->now());
-    const bool ok =
-        table_->acquire_leased(tok[3], mode, txn, sched_->now() + lease);
+    table_->reap_expired(now);
+    const bool ok = table_->acquire_leased(tok[3], mode, *txn, now + *lease);
     reply(ok ? "ok" : "no");
   } else if (op == "rel" && tok.size() == 3) {
     // rel <r> <txn>
-    const auto txn = static_cast<OwnerId>(std::stoul(tok[2]));
-    reply("ok " + std::to_string(table_->release_all(txn)));
+    const auto txn = parse_number<OwnerId>(tok[2]);
+    if (!txn) return bad_request();
+    reply("ok " + std::to_string(table_->release_all(*txn)));
   } else if (op == "prep" && tok.size() >= 3) {
     // prep <r> <txn> <k=v;k=v>   (vote yes only when the txn holds an
     // X lock on every item it wants to write: 2PC rides ON the locks)
     const std::string& txn = tok[2];
+    const auto owner = parse_number<OwnerId>(txn);
+    if (!owner) return bad_request();
     const std::string staged = tok.size() > 3 ? tok[3] : "";
-    const auto owner = static_cast<OwnerId>(std::stoul(txn));
     bool can = true;
     for (const auto& [k, v] : lockdb_parse_kv(staged))
-      if (!table_->holds(k, owner)) can = false;
+      if (!table_->holds(k, *owner)) can = false;
     if (can) {
       staged_[txn] = staged;
       wal_->append("prep." + txn, staged);
@@ -371,8 +395,10 @@ void WireReplica::handle(const runtime::Wire::Msg& m) {
   } else if (op == "dec" && tok.size() == 4) {
     // dec <r> <txn> <commit|abort>
     const std::string& txn = tok[2];
+    const auto owner = parse_number<OwnerId>(txn);
+    if (!owner) return bad_request();
     decide(txn, tok[3] == "commit");
-    table_->release_all(static_cast<OwnerId>(std::stoul(txn)));
+    table_->release_all(*owner);
     reply("ack");
   } else if (op == "get" && tok.size() == 3) {
     const auto it = kv_.find(tok[2]);
@@ -387,7 +413,7 @@ void WireReplica::handle(const runtime::Wire::Msg& m) {
   } else if (op == "role" && tok.size() == 2) {
     reply(std::to_string(primary_));
   } else {
-    reply("err bad request");
+    bad_request();
   }
 }
 

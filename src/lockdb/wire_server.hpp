@@ -116,6 +116,9 @@ class WireReplica {
   std::string digest() const;
 
   std::uint64_t requests_served() const { return served_; }
+  /// Requests answered "err bad request": unknown op, wrong arity, or a
+  /// malformed or out-of-range number. None of them stops the replica.
+  std::uint64_t bad_requests() const { return bad_requests_; }
   std::uint64_t committed() const { return committed_; }
   std::uint64_t aborted() const { return aborted_; }
   std::uint64_t indoubt_resolved() const { return indoubt_; }
@@ -150,6 +153,7 @@ class WireReplica {
   std::uint64_t reply_seq_ = 0;
 
   std::uint64_t served_ = 0;
+  std::uint64_t bad_requests_ = 0;
   std::uint64_t committed_ = 0;
   std::uint64_t aborted_ = 0;
   std::uint64_t indoubt_ = 0;

@@ -21,7 +21,7 @@ void Monitor::enter() {
                            obs::kAutoTime, sched_->current(), obs::kNoLane,
                            "monitor.contended", name_});
   try {
-    entry_queue_.park("entering monitor " + name_, holder_);
+    entry_queue_.park({"entering monitor ", name_}, holder_);
   } catch (...) {
     // Crashed while queued (the park self-cleans) — or just after the
     // hand-off made us owner, in which case the monitor moves on.
@@ -49,7 +49,7 @@ void Monitor::wait_until(std::function<bool()> pred) {
   try {
     // No single wait-for target: whoever next leaves the monitor with
     // the predicate true wakes us; hint the current holder when known.
-    sched_->block("WAIT UNTIL in monitor " + name_, holder_);
+    sched_->block({"WAIT UNTIL in monitor ", name_}, holder_);
   } catch (...) {
     // Crashed while waiting: either our waiter entry is still queued
     // (never admitted — drop it) or the hand-off already made us owner

@@ -54,11 +54,11 @@ std::uint64_t FaultPlan::next_time_trigger() const {
   return next;
 }
 
-bool FaultPlan::fire_rule(MsgKind kind, const std::string& tag,
+bool FaultPlan::fire_rule(MsgKind kind, std::string_view tag,
                           std::uint64_t* extra) {
   for (MsgRule& r : msgs_) {
     if (r.fired || r.kind != kind) continue;
-    if (tag.find(r.substr) == std::string::npos) continue;
+    if (tag.find(r.substr) == std::string_view::npos) continue;
     if (++r.seen < r.nth) continue;
     r.fired = true;
     if (extra != nullptr) *extra = r.extra;
@@ -67,15 +67,15 @@ bool FaultPlan::fire_rule(MsgKind kind, const std::string& tag,
   return false;
 }
 
-bool FaultPlan::should_drop(const std::string& tag) {
+bool FaultPlan::should_drop(std::string_view tag) {
   return fire_rule(MsgKind::Drop, tag, nullptr);
 }
 
-bool FaultPlan::should_duplicate(const std::string& tag) {
+bool FaultPlan::should_duplicate(std::string_view tag) {
   return fire_rule(MsgKind::Duplicate, tag, nullptr);
 }
 
-std::uint64_t FaultPlan::extra_delay(const std::string& tag) {
+std::uint64_t FaultPlan::extra_delay(std::string_view tag) {
   std::uint64_t extra = 0;
   return fire_rule(MsgKind::Delay, tag, &extra) ? extra : 0;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/fiber.hpp"
@@ -91,10 +92,10 @@ class FaultPlan {
   // ---- Net-side queries (each call advances the rule counters; call
   //      exactly once per transfer decision) ----
 
-  bool should_drop(const std::string& tag);
-  bool should_duplicate(const std::string& tag);
+  bool should_drop(std::string_view tag);
+  bool should_duplicate(std::string_view tag);
   /// Extra ticks to charge this transfer (0 when no delay rule fires).
-  std::uint64_t extra_delay(const std::string& tag);
+  std::uint64_t extra_delay(std::string_view tag);
 
  private:
   enum class MsgKind : std::uint8_t { Drop, Duplicate, Delay };
@@ -109,7 +110,7 @@ class FaultPlan {
 
   /// Advance counters of every unfired `kind` rule matching `tag`;
   /// true (with the rule's `extra`) if one fires.
-  bool fire_rule(MsgKind kind, const std::string& tag, std::uint64_t* extra);
+  bool fire_rule(MsgKind kind, std::string_view tag, std::uint64_t* extra);
 
   std::vector<ProcessFault> process_;
   std::vector<MsgRule> msgs_;

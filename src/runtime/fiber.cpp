@@ -1,7 +1,5 @@
 #include "runtime/fiber.hpp"
 
-#include <cstdint>
-
 #include "runtime/fault.hpp"
 #include "runtime/overload.hpp"
 #include "runtime/sanitizer_fiber.hpp"
@@ -18,22 +16,11 @@ Fiber::Fiber(ProcessId id, std::string name, std::function<void()> body,
       name_(std::move(name)),
       body_(std::move(body)),
       stack_(std::move(stack)) {
-  if (getcontext(&context_) != 0) SCRIPT_PANIC("getcontext failed");
-  context_.uc_stack.ss_sp = stack_.base();
-  context_.uc_stack.ss_size = stack_.size();
-  context_.uc_link = nullptr;  // fibers return via explicit swapcontext
-  // makecontext only passes ints, so the `this` pointer travels as two
-  // 32-bit halves.
-  const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-              static_cast<unsigned>(ptr >> 32),
-              static_cast<unsigned>(ptr & 0xffffffffu));
+  context::make(ctx_, stack_.base(), stack_.size(), &Fiber::entry, this);
 }
 
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  const auto ptr = (static_cast<std::uintptr_t>(hi) << 32) |
-                   static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Fiber*>(ptr)->run_body();
+void Fiber::entry(void* self) {
+  static_cast<Fiber*>(self)->run_body();
   SCRIPT_PANIC("fiber resumed after completion");
 }
 

@@ -1,4 +1,6 @@
-// A Fiber is one lightweight process context (ucontext-based).
+// A Fiber is one lightweight process context: its own guarded stack,
+// entered and left through the hand-written context switch of
+// runtime/context.hpp (x86-64 assembly; ucontext elsewhere).
 //
 // The paper assumes CSP/Ada-style language-level processes; C++ offers
 // none, so fibers are our substitute. A role body executes *on the
@@ -7,15 +9,16 @@
 // right substrate.
 #pragma once
 
-#include <ucontext.h>
-
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "runtime/context.hpp"
 #include "runtime/stack.hpp"
 
 namespace script::runtime {
@@ -37,13 +40,18 @@ namespace parallel_detail {
 struct Group;
 }
 
+/// A block reason as pieces to concatenate ("enrolling in ", name, ...).
+/// The blocking primitives take this so that a park copies the text
+/// into the fiber's own buffer instead of building a heap string.
+using BlockReason = std::initializer_list<std::string_view>;
+
 /// One resumable scheduler-side execution context: the deterministic
 /// scheduler loop owns one, each parallel worker thread owns one. A
 /// fiber switching out returns to the context that dispatched it
 /// (`Fiber::resume_`), which in the parallel mode may be a different
 /// worker every time its group is stolen.
 struct ExecContext {
-  ucontext_t ctx{};
+  context::Context ctx;
   // ASan fake-stack handle saved while this context is switched out.
   void* asan_fake_stack = nullptr;
   // Bounds of this context's native stack, learned at first fiber entry
@@ -99,7 +107,13 @@ class Fiber {
 
   /// Why this fiber is blocked — surfaced in deadlock reports.
   const std::string& block_reason() const { return block_reason_; }
-  void set_block_reason(std::string r) { block_reason_ = std::move(r); }
+  /// The reason is the concatenation of `pieces`, written into a buffer
+  /// that keeps its capacity, so a park builds no heap string.
+  void set_block_reason(BlockReason pieces) {
+    block_reason_.clear();
+    for (const std::string_view p : pieces) block_reason_.append(p);
+  }
+  void clear_block_reason() { block_reason_.clear(); }
 
   /// Exception that escaped the body, if any (rethrown by Scheduler::run).
   std::exception_ptr failure() const { return failure_; }
@@ -147,7 +161,8 @@ class Fiber {
   friend class Scheduler;
   friend class ParallelRuntime;
 
-  static void trampoline(unsigned hi, unsigned lo);
+  /// First code on the fiber's stack (context::make's entry).
+  [[noreturn]] static void entry(void* self);
   void run_body();
   /// Hand the stack back for pooling. Only valid once the fiber is Done
   /// AND control is back on the scheduler's own stack.
@@ -157,7 +172,7 @@ class Fiber {
   std::string name_;
   std::function<void()> body_;
   Stack stack_;
-  ucontext_t context_{};
+  context::Context ctx_;
   // ASan fake-stack handle saved while this fiber is switched out
   // (runtime/sanitizer_fiber.hpp); stays null outside sanitized builds.
   void* asan_fake_stack_ = nullptr;

@@ -305,7 +305,7 @@ void ParallelRuntime::commit_park(Worker& w, Fiber& f) {
 
 void ParallelRuntime::wake_locked(Fiber& f, Group& g) {
   f.set_state(FiberState::Ready);
-  f.set_block_reason("");
+  f.clear_block_reason();
   f.blocked_ticks_ += sched_.now_ - f.block_start_;
   f.waiting_on_ = kNoProcess;
   f.timed_out_ = false;
@@ -349,7 +349,7 @@ void ParallelRuntime::yield(Fiber& f) {
   sched_.switch_out(f);
 }
 
-void ParallelRuntime::block(Fiber& f, const std::string& reason,
+void ParallelRuntime::block(Fiber& f, BlockReason reason,
                             ProcessId waiting_on) {
   Group& g = *f.pgroup_;
   {
@@ -363,7 +363,7 @@ void ParallelRuntime::block(Fiber& f, const std::string& reason,
   if (sched_.bus_.wants(obs::Subsystem::Scheduler))
     sched_.bus_.publish({obs::EventKind::SpanBegin, obs::Subsystem::Scheduler,
                          obs::kAutoTime, f.id(), obs::kNoLane, "blocked",
-                         reason});
+                         f.block_reason()});
   sched_.switch_out(f);
 }
 
@@ -388,7 +388,7 @@ void ParallelRuntime::sleep_for(Fiber& f, std::uint64_t ticks) {
   sched_.switch_out(f);
 }
 
-bool ParallelRuntime::block_with_timeout(Fiber& f, const std::string& reason,
+bool ParallelRuntime::block_with_timeout(Fiber& f, BlockReason reason,
                                          std::uint64_t ticks,
                                          std::function<void()> on_timeout,
                                          ProcessId waiting_on) {
@@ -408,7 +408,7 @@ bool ParallelRuntime::block_with_timeout(Fiber& f, const std::string& reason,
   if (sched_.bus_.wants(obs::Subsystem::Scheduler))
     sched_.bus_.publish({obs::EventKind::SpanBegin, obs::Subsystem::Scheduler,
                          obs::kAutoTime, f.id(), obs::kNoLane, "blocked",
-                         reason, static_cast<double>(ticks)});
+                         f.block_reason(), static_cast<double>(ticks)});
   sched_.switch_out(f);
   return f.timed_out_;  // own fiber resumed: safe to read plainly
 }
@@ -425,7 +425,7 @@ void ParallelRuntime::join(Fiber& f, ProcessId target) {
     if (t.retired_) return;
     t.joiners_.push_back(f.id());
   }
-  block(f, "joining " + t.name(), target);
+  block(f, {"joining ", t.name()}, target);
 }
 
 void ParallelRuntime::unblock(ProcessId pid) {
@@ -474,7 +474,7 @@ void ParallelRuntime::wake_at(ProcessId pid, std::uint64_t ticks_from_now) {
     SCRIPT_ASSERT(f.state() == FiberState::Blocked && !f.p_commit_pending_,
                   "wake_at on non-blocked fiber " + f.name());
     f.set_state(FiberState::Sleeping);
-    f.set_block_reason("");
+    f.clear_block_reason();
     f.blocked_ticks_ += sched_.now_ - f.block_start_;
     f.sleep_start_ = sched_.now_;
     f.waiting_on_ = kNoProcess;
@@ -514,7 +514,7 @@ void ParallelRuntime::fire_timer_locked(Fiber& f, bool* was_sleeping) {
     SCRIPT_ASSERT(f.state() == FiberState::Blocked,
                   "live timer fired for non-parked fiber");
     f.set_state(FiberState::Ready);
-    f.set_block_reason("");
+    f.clear_block_reason();
     f.blocked_ticks_ += sched_.now_ - f.block_start_;
     f.waiting_on_ = kNoProcess;
     f.timed_out_ = true;

@@ -25,11 +25,12 @@
 //     ledger, joiners).
 //   * Park-commit: a parking fiber sets its state and p_commit_pending_
 //     under the group mutex, then switches out. The worker clears the
-//     pending flag — again under the mutex — only after swapcontext has
-//     fully saved the fiber's context. A cross-group waker that catches
-//     the window (or catches the fiber still Running, join's wake-
-//     before-park race) sets p_wake_pending_ instead of touching the
-//     half-saved context; the commit converts it into a real wake.
+//     pending flag — again under the mutex — only after the context
+//     switch has fully saved the fiber's context. A cross-group waker
+//     that catches the window (or catches the fiber still Running,
+//     join's wake-before-park race) sets p_wake_pending_ instead of
+//     touching the half-saved context; the commit converts it into a
+//     real wake.
 //   * Timers live in one global heap (virtual time is global); a timed
 //     park carries its request through the commit so a timer can never
 //     fire for an uncommitted context. The clock advances only at
@@ -125,9 +126,9 @@ class ParallelRuntime {
 
   // ---- Fiber-side primitives (worker threads, fiber stacks) ----
   void yield(Fiber& f);
-  void block(Fiber& f, const std::string& reason, ProcessId waiting_on);
+  void block(Fiber& f, BlockReason reason, ProcessId waiting_on);
   void sleep_for(Fiber& f, std::uint64_t ticks);
-  bool block_with_timeout(Fiber& f, const std::string& reason,
+  bool block_with_timeout(Fiber& f, BlockReason reason,
                           std::uint64_t ticks,
                           std::function<void()> on_timeout,
                           ProcessId waiting_on);

@@ -1,7 +1,8 @@
 // Sanitizer fiber-switch annotations (no-ops outside sanitized builds).
 //
-// ASan tracks exactly one stack per thread. A ucontext switch moves sp
-// somewhere ASan has never heard of, with two consequences:
+// ASan tracks exactly one stack per thread. A fiber context switch
+// (runtime/context.hpp) moves sp somewhere ASan has never heard of, with
+// two consequences:
 //   * stack traces and stack-bounds checks are wrong while a fiber runs;
 //   * an exception unwinding on a fiber stack cannot unpoison the frames
 //     it destroys (__asan_handle_no_return bails when sp is outside the
@@ -14,7 +15,7 @@
 // finish_switch first thing on the incoming side.
 //
 // TSan has the same problem one level up: its shadow state is keyed by
-// the executing "fiber" context, and ucontext switches (especially the
+// the executing "fiber" context, and context switches (especially the
 // parallel mode's cross-thread group migration) must be announced with
 // __tsan_create_fiber / __tsan_switch_to_fiber so the race detector
 // follows the control transfer and inherits its happens-before edge.
@@ -106,7 +107,8 @@ inline void tsan_destroy_context(void* ctx) {
 #endif
 }
 
-/// Announce the upcoming swapcontext to `ctx` (call immediately before).
+/// Announce the upcoming context switch to `ctx` (call immediately
+/// before).
 /// The default flags publish a happens-before edge from the switching-
 /// out context to the switched-in one — exactly the edge the real
 /// control transfer provides.

@@ -498,7 +498,8 @@ RunResult Scheduler::run() {
     f.set_state(FiberState::Running);
     f.last_progress_ = now_;
     current_ = pid;
-    ++steps_;
+    // The loop is steps_'s only writer: a plain store, not a locked add.
+    steps_ = steps_ + 1;
     ++dispatched;
     if (causal_ != nullptr) causal_->on_dispatch(pid);
     if (bus_.wants(obs::Subsystem::Scheduler))
@@ -559,7 +560,7 @@ void Scheduler::yield() {
   switch_out(f);
 }
 
-void Scheduler::block(const std::string& reason, ProcessId waiting_on) {
+void Scheduler::block(BlockReason reason, ProcessId waiting_on) {
   Fiber& f = fiber(current());
   if (parallel_ != nullptr) {
     parallel_->block(f, reason, waiting_on);
@@ -572,7 +573,8 @@ void Scheduler::block(const std::string& reason, ProcessId waiting_on) {
   f.waiting_on_ = waiting_on;
   if (bus_.wants(obs::Subsystem::Scheduler))
     bus_.publish({obs::EventKind::SpanBegin, obs::Subsystem::Scheduler,
-                  obs::kAutoTime, f.id(), obs::kNoLane, "blocked", reason});
+                  obs::kAutoTime, f.id(), obs::kNoLane, "blocked",
+                  f.block_reason()});
   switch_out(f);
 }
 
@@ -597,8 +599,7 @@ void Scheduler::sleep_for(std::uint64_t ticks) {
   switch_out(f);
 }
 
-bool Scheduler::block_with_timeout(const std::string& reason,
-                                   std::uint64_t ticks,
+bool Scheduler::block_with_timeout(BlockReason reason, std::uint64_t ticks,
                                    std::function<void()> on_timeout,
                                    ProcessId waiting_on) {
   Fiber& f = fiber(current());
@@ -622,8 +623,8 @@ bool Scheduler::block_with_timeout(const std::string& reason,
   arm_timer(f, now_ + ticks);
   if (bus_.wants(obs::Subsystem::Scheduler))
     bus_.publish({obs::EventKind::SpanBegin, obs::Subsystem::Scheduler,
-                  obs::kAutoTime, f.id(), obs::kNoLane, "blocked", reason,
-                  static_cast<double>(ticks)});
+                  obs::kAutoTime, f.id(), obs::kNoLane, "blocked",
+                  f.block_reason(), static_cast<double>(ticks)});
   switch_out(f);
   return f.timed_out_;
 }
@@ -640,7 +641,7 @@ void Scheduler::join(ProcessId pid) {
   // could re-block the fiber elsewhere before the target finishes.
   check_cancel(fiber(current()));
   fiber(pid).joiners_.push_back(current());
-  block("joining " + fiber(pid).name(), pid);
+  block({"joining ", fiber(pid).name()}, pid);
 }
 
 void Scheduler::unblock(ProcessId pid) {
@@ -652,7 +653,7 @@ void Scheduler::unblock(ProcessId pid) {
   SCRIPT_ASSERT(f.state() == FiberState::Blocked,
                 "unblock on non-blocked fiber " + f.name());
   f.set_state(FiberState::Ready);
-  f.set_block_reason("");
+  f.clear_block_reason();
   f.blocked_ticks_ += now_ - f.block_start_;
   f.waiting_on_ = kNoProcess;
   f.timed_out_ = false;
@@ -683,7 +684,7 @@ void Scheduler::wake_at(ProcessId pid, std::uint64_t ticks_from_now) {
   SCRIPT_ASSERT(f.state() == FiberState::Blocked,
                 "wake_at on non-blocked fiber " + f.name());
   f.set_state(FiberState::Sleeping);
-  f.set_block_reason("");
+  f.clear_block_reason();
   f.blocked_ticks_ += now_ - f.block_start_;
   f.sleep_start_ = now_;
   f.waiting_on_ = kNoProcess;
@@ -752,7 +753,7 @@ void Scheduler::switch_to(ExecContext& from, Fiber& f) {
   sanitizer::tsan_switch(f.tsan_ctx_);
   sanitizer::start_switch(&from.asan_fake_stack, f.stack_.base(),
                           f.stack_.size());
-  swapcontext(&from.ctx, &f.context_);
+  context::swap(from.ctx, f.ctx_);
   sanitizer::finish_switch(from.asan_fake_stack, nullptr, nullptr);
 }
 
@@ -774,7 +775,7 @@ void Scheduler::switch_out(Fiber& f) {
   sanitizer::start_switch(
       f.state() == FiberState::Done ? nullptr : &f.asan_fake_stack_,
       to.stack_bottom, to.stack_size);
-  swapcontext(&f.context_, &to.ctx);
+  context::swap(f.ctx_, to.ctx);
   sanitizer::finish_switch(f.asan_fake_stack_, nullptr, nullptr);
   if (f.kill_pending_) {
     // A FaultPlan crash fired while we were parked: unwind this fiber's
@@ -952,7 +953,7 @@ void Scheduler::kill_now(Fiber& f) {
   f.waiting_on_ = kNoProcess;
   note_stale_timer(f);
   ++f.wake_gen_;  // any armed timer is now stale
-  f.set_block_reason("");
+  f.clear_block_reason();
   f.kill_pending_ = true;
   f.set_state(FiberState::Running);
   current_ = f.id();
@@ -1113,7 +1114,7 @@ void Scheduler::cancel_now(Fiber& f, Fiber::PendingCancel kind,
   f.waiting_on_ = kNoProcess;
   note_stale_timer(f);
   ++f.wake_gen_;  // any armed timer is now stale
-  f.set_block_reason("");
+  f.clear_block_reason();
   f.cancel_pending_ = kind;
   f.cancel_payload_ = payload;
   f.set_state(FiberState::Running);
@@ -1264,7 +1265,7 @@ bool Scheduler::advance_clock() {
         SCRIPT_ASSERT(f.state() == FiberState::Blocked,
                       "live timer fired for non-parked fiber");
         f.set_state(FiberState::Ready);
-        f.set_block_reason("");
+        f.clear_block_reason();
         f.blocked_ticks_ += now_ - f.block_start_;
         f.waiting_on_ = kNoProcess;
         f.timed_out_ = true;

@@ -149,12 +149,16 @@ class Scheduler {
   void yield();
 
   /// Park the current fiber until someone calls unblock(). `reason` is
-  /// shown in deadlock reports ("waiting for role sender to enroll").
-  /// `waiting_on`, when the call site knows it (the CSP peer, the entry
-  /// owner, the monitor holder), feeds the wait-for chains deadlock
-  /// reports print.
-  void block(const std::string& reason,
-             ProcessId waiting_on = kNoProcess);
+  /// shown in deadlock reports ("waiting for role sender to enroll");
+  /// pass it as pieces ({"enrolling in ", name}) and they are
+  /// concatenated into the fiber's reason buffer, with no heap string
+  /// per park. `waiting_on`, when the call site knows it (the CSP peer,
+  /// the entry owner, the monitor holder), feeds the wait-for chains
+  /// deadlock reports print.
+  void block(BlockReason reason, ProcessId waiting_on = kNoProcess);
+  void block(std::string_view reason, ProcessId waiting_on = kNoProcess) {
+    block({reason}, waiting_on);
+  }
 
   /// Park the current fiber for `ticks` of virtual time.
   void sleep_for(std::uint64_t ticks);
@@ -165,9 +169,15 @@ class Scheduler {
   /// before any other fiber can observe the stale registration — so the
   /// caller's wait-list entry self-cleans. It does NOT run when the
   /// fiber is woken normally (the waker consumed the entry).
-  bool block_with_timeout(const std::string& reason, std::uint64_t ticks,
+  bool block_with_timeout(BlockReason reason, std::uint64_t ticks,
                           std::function<void()> on_timeout = nullptr,
                           ProcessId waiting_on = kNoProcess);
+  bool block_with_timeout(std::string_view reason, std::uint64_t ticks,
+                          std::function<void()> on_timeout = nullptr,
+                          ProcessId waiting_on = kNoProcess) {
+    return block_with_timeout({reason}, ticks, std::move(on_timeout),
+                              waiting_on);
+  }
 
   /// Block until fiber `pid` has finished. No-op if already done.
   void join(ProcessId pid);
@@ -541,8 +551,9 @@ class Scheduler {
   std::uint64_t timer_seq_ = 0;
   RelaxedU64 steps_{0};
   ProcessId current_ = kNoProcess;
-  /// The deterministic loop's execution context (ucontext + sanitizer
-  /// bookkeeping). Parallel workers each own their own ExecContext.
+  /// The deterministic loop's execution context (saved stack pointer +
+  /// sanitizer bookkeeping). Parallel workers each own their own
+  /// ExecContext.
   ExecContext main_exec_;
   bool running_ = false;
   std::unique_ptr<ParallelRuntime> parallel_;

@@ -6,7 +6,7 @@
 
 namespace script::runtime {
 
-void WaitQueue::park(const std::string& reason, ProcessId waiting_on) {
+void WaitQueue::park(BlockReason reason, ProcessId waiting_on) {
   const ProcessId pid = sched_->current();
   waiters_.push_back(pid);
   try {
@@ -20,7 +20,7 @@ void WaitQueue::park(const std::string& reason, ProcessId waiting_on) {
   }
 }
 
-bool WaitQueue::park_for(const std::string& reason, std::uint64_t ticks,
+bool WaitQueue::park_for(BlockReason reason, std::uint64_t ticks,
                          ProcessId waiting_on) {
   const ProcessId pid = sched_->current();
   waiters_.push_back(pid);

@@ -115,11 +115,10 @@ bool Wire::recv(const std::string& tag, Msg* out,
 
   Waiter w{tag, from, out, sched_->current(), false};
   waiters_.push_back(&w);
-  const std::string reason = "wire recv " + tag;
   if (timeout_ticks == kNoTimeout) {
-    sched_->block(reason);
+    sched_->block({"wire recv ", tag});
   } else {
-    sched_->block_with_timeout(reason, timeout_ticks, [this, &w] {
+    sched_->block_with_timeout({"wire recv ", tag}, timeout_ticks, [this, &w] {
       // Timeout fired before delivery: self-clean the registration so
       // the pump never fills a dead stack frame.
       waiters_.erase(std::remove(waiters_.begin(), waiters_.end(), &w),

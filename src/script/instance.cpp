@@ -234,7 +234,7 @@ EnrollResult ScriptInstance::enroll(const RoleId& role,
   try_advance();
   try {
     while (!req.admitted && !req.shed)
-      sched.block("enrolling in " + name_ + " as " + role.str());
+      sched.block({"enrolling in ", name_, " as ", role.str()});
   } catch (...) {
     // Crashed while queued: withdraw so the matcher never binds a dead
     // process. (A crash after admission is the crash hook's business.)
@@ -311,7 +311,7 @@ std::optional<EnrollResult> ScriptInstance::enroll_for(
     const bool timed_out =
         now >= deadline ||
         sched.block_with_timeout(
-            "timed enrollment in " + name_ + " as " + role.str(),
+            {"timed enrollment in ", name_, " as ", role.str()},
             deadline - now, withdraw);
     if (timed_out && !req.admitted && !req.shed) {
       withdraw();  // covers the already-past-deadline fast path
@@ -522,7 +522,7 @@ EnrollResult ScriptInstance::run_admitted(Request& req, Params& params) {
   if (spec_.termination() == Termination::Delayed) {
     while (!perf.done) {
       end_waiters_.push_back(req.pid);
-      sched.block("delayed termination of " + name_);
+      sched.block({"delayed termination of ", name_});
     }
   }
   publish(obs::EventKind::Instant, req.pid, "release", "",
@@ -840,7 +840,7 @@ void ScriptInstance::begin_takeover(Performance& perf, const RoleId& r,
       }
       it->second.watcher = sched_->current();
       (void)sched_->block_with_timeout(
-          "takeover window for " + r.str() + " in " + name_,
+          {"takeover window for ", r.str(), " in ", name_},
           it->second.deadline - now);
     }
   });
@@ -984,7 +984,7 @@ void ScriptInstance::publish_overload(const char* name, ProcessId pid,
                std::move(detail), value});
 }
 
-void ScriptInstance::wait_state_change(const std::string& why) {
+void ScriptInstance::wait_state_change(runtime::BlockReason why) {
   const ProcessId me = scheduler().current();
   state_waiters_.push_back(me);
   try {
@@ -1107,17 +1107,16 @@ RoleResult<ProcessId> RoleContext::await_role(const RoleId& r) {
     if (perf_->awaiting_takeover.count(r)) {
       // Bound to a dead process until a replacement rebinds it; park
       // rather than hand out the stale pid.
-      inst_->wait_state_change("role " + self_.str() +
-                               " awaiting takeover of " + r.str() + " in " +
-                               inst_->name_);
+      inst_->wait_state_change({"role ", self_.str(), " awaiting takeover of ",
+                                r.str(), " in ", inst_->name_});
       continue;
     }
     const auto it = perf_->state.bindings.find(r);
     if (it != perf_->state.bindings.end()) return it->second;
     if (perf_->done)
       return support::make_unexpected(RoleCommError::Unavailable);
-    inst_->wait_state_change("role " + self_.str() + " awaiting partner " +
-                             r.str() + " in " + inst_->name_);
+    inst_->wait_state_change({"role ", self_.str(), " awaiting partner ",
+                              r.str(), " in ", inst_->name_});
   }
 }
 
@@ -1131,9 +1130,8 @@ bool RoleContext::await_takeover(const RoleId& r) {
       return false;
     check_abort();
     if (!perf_->awaiting_takeover.count(r)) return true;
-    inst_->wait_state_change("role " + self_.str() +
-                             " awaiting takeover of " + r.str() + " in " +
-                             inst_->name_);
+    inst_->wait_state_change({"role ", self_.str(), " awaiting takeover of ",
+                              r.str(), " in ", inst_->name_});
   }
 }
 

@@ -349,7 +349,7 @@ class ScriptInstance {
 
   /// Block the calling fiber until the instance's state changes
   /// (binding, out, completion, performance end).
-  void wait_state_change(const std::string& why);
+  void wait_state_change(runtime::BlockReason why);
   void notify_state_change();
 
   /// Publish a Script-subsystem event on the scheduler's bus. The prose
@@ -545,8 +545,8 @@ class RoleContext {
       if (candidates.empty()) {
         if (!might_bind)
           return support::make_unexpected(RoleCommError::Unavailable);
-        inst_->wait_state_change("role " + self_.str() +
-                                 " awaiting any partner binding");
+        inst_->wait_state_change(
+            {"role ", self_.str(), " awaiting any partner binding"});
         continue;
       }
       auto r = inst_->net_->recv_from<T>(std::move(candidates),

@@ -2,16 +2,113 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "support/rng.hpp"
 
 namespace {
 
 using script::csp::CommError;
+using script::csp::Message;
 using script::csp::Net;
 using script::runtime::ProcessId;
 using script::runtime::Scheduler;
 using script::runtime::UniformLatency;
+
+TEST(Message, InlineAndBoxedPayloadsCopyAndMove) {
+  // Up to 32 bytes live inside the Message; larger payloads, and types
+  // whose move may throw, are boxed. Both must copy and move like values.
+  using Big = std::array<std::uint64_t, 8>;
+  const Big big{1, 2, 3, 4, 5, 6, 7, 8};
+  const std::string text(100, 'x');  // inline object, heap contents
+  Message small = Message::of<int>(7);
+  Message boxed = Message::of<Big>(big);
+  Message str = Message::of<std::string>(text);
+  const Message small_copy = small;
+  const Message boxed_copy = boxed;
+  Message str_moved = std::move(str);
+  EXPECT_TRUE(str.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(small_copy.as<int>(), 7);
+  EXPECT_EQ(boxed_copy.as<Big>(), big);
+  EXPECT_EQ(str_moved.as<std::string>(), text);
+  boxed = small_copy;  // boxed -> inline
+  small = boxed_copy;  // inline -> boxed
+  EXPECT_EQ(boxed.as<int>(), 7);
+  EXPECT_EQ(small.as<Big>(), big);
+  EXPECT_EQ(boxed.type(), std::type_index(typeid(int)));
+}
+
+TEST(Net, LargePayloadCrossesARendezvous) {
+  using Big = std::array<std::uint64_t, 8>;
+  Scheduler sched;
+  Net net(sched);
+  Big got{};
+  std::shared_ptr<int> owner_after;
+  ProcessId alice = 0, bob = 0;
+  alice = net.spawn_process("alice", [&] {
+    ASSERT_TRUE(net.send(bob, "big", Big{9, 8, 7, 6, 5, 4, 3, 2}));
+    ASSERT_TRUE(net.send(bob, "ptr", std::make_shared<int>(5)));
+  });
+  bob = net.spawn_process("bob", [&] {
+    auto r = net.recv<Big>(alice, "big");
+    ASSERT_TRUE(r);
+    got = *r;
+    auto p = net.recv<std::shared_ptr<int>>(alice, "ptr");
+    ASSERT_TRUE(p);
+    owner_after = *p;
+  });
+  ASSERT_TRUE(sched.run().ok());
+  EXPECT_EQ(got, (Big{9, 8, 7, 6, 5, 4, 3, 2}));
+  ASSERT_NE(owner_after, nullptr);
+  EXPECT_EQ(*owner_after, 5);
+  EXPECT_EQ(owner_after.use_count(), 1);  // no copy left behind in the Net
+}
+
+TEST(Net, AnonymousMatchesAreDrawnInOwnerOrder) {
+  // Seeded replays depend on the order the matcher lists candidates
+  // for choose()'s RNG draw: owner ascending, then posting order — not
+  // the order the offers were parked in. Senders park here in the order
+  // 3, 1, 2; under Fifo the Net's choices are the only RNG draws, so a
+  // local Rng with the scheduler's seed predicts every pick.
+  constexpr std::uint64_t kSeed = 7;
+  script::runtime::SchedulerOptions opts;
+  opts.seed = kSeed;
+  Scheduler sched(opts);
+  Net net(sched);
+  std::vector<ProcessId> got;
+  const ProcessId rx = net.spawn_process("rx", [&] {
+    sched.sleep_for(10);  // every sender is parked by now
+    for (int i = 0; i < 3; ++i) {
+      auto r = net.recv_any<int>("m");
+      ASSERT_TRUE(r);
+      got.push_back(r->first);
+    }
+  });
+  std::vector<ProcessId> senders;
+  for (const std::uint64_t delay : {2u, 3u, 1u})
+    senders.push_back(net.spawn_process("tx", [&net, &sched, rx, delay] {
+      sched.sleep_for(delay);
+      ASSERT_TRUE(net.send(rx, "m", 0));
+    }));
+  ASSERT_TRUE(sched.run().ok());
+
+  script::support::Rng rng(kSeed);
+  std::vector<ProcessId> parked = senders;
+  std::sort(parked.begin(), parked.end());
+  std::vector<ProcessId> want;
+  while (!parked.empty()) {
+    const std::size_t i =
+        parked.size() == 1 ? 0 : rng.pick_index(parked.size());
+    want.push_back(parked[i]);
+    parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  EXPECT_EQ(got, want);
+}
 
 TEST(Net, SynchronousSendRecv) {
   Scheduler sched;

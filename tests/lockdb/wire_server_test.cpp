@@ -253,4 +253,65 @@ TEST(WireLockdb, BelowMinSurvivorsRefusesWrites) {
   c.sched.run();
 }
 
+// Malformed peer numbers are refused with "err bad request" and counted;
+// the serve fiber neither throws nor wraps them into valid-looking ids.
+
+/// Post one raw request frame to replica `to` and wait for its reply.
+std::string raw_request(Cluster& c, PeerId to, const std::string& payload) {
+  c.dwire->post(to, "lkreq", payload);
+  Wire::Msg reply;
+  if (!c.dwire->recv("raw", &reply, 300, to)) return "(no reply)";
+  return reply.payload;
+}
+
+TEST(WireLockdb, NonNumericTxnIsABadRequest) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    EXPECT_EQ(raw_request(c, 0, "acq raw notanumber x X 5"),
+              "err bad request");
+    // Still serving: a well-formed transaction goes through everywhere.
+    ASSERT_TRUE(c.driver->acquire(7, "x", LockMode::Exclusive));
+    EXPECT_TRUE(c.driver->update(7, {{"x", "1"}}));
+    c.shutdown();
+  });
+  const auto r = c.sched.run();
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(c.reps[0]->bad_requests(), 1u);
+  EXPECT_EQ(c.reps[0]->data().at("x"), "1");
+}
+
+TEST(WireLockdb, NegativeTxnDoesNotWrapIntoAnOwner) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    ASSERT_TRUE(c.driver->acquire(7, "x", LockMode::Exclusive));
+    EXPECT_EQ(raw_request(c, 1, "rel raw -1"), "err bad request");
+    EXPECT_EQ(raw_request(c, 1, "rel raw 7x"), "err bad request");
+    // Txn 7's lock survived: a competitor is still refused.
+    EXPECT_FALSE(c.driver->acquire(8, "x", LockMode::Exclusive));
+    EXPECT_TRUE(c.driver->update(7, {{"x", "2"}}));
+    c.shutdown();
+  });
+  const auto r = c.sched.run();
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(c.reps[1]->bad_requests(), 2u);
+  EXPECT_EQ(c.reps[1]->data().at("x"), "2");
+}
+
+TEST(WireLockdb, OutOfRangeLeaseIsABadRequest) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    // 2^64 does not fit the lease field.
+    EXPECT_EQ(raw_request(c, 2, "acq raw 5 x X 18446744073709551616"),
+              "err bad request");
+    EXPECT_EQ(raw_request(c, 2, "acq raw 5 x Q 5"), "err bad request");
+    ASSERT_TRUE(c.driver->acquire(5, "x", LockMode::Exclusive));
+    EXPECT_TRUE(c.driver->update(5, {{"x", "3"}}));
+    c.shutdown();
+  });
+  const auto r = c.sched.run();
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(c.reps[2]->bad_requests(), 2u);
+  EXPECT_EQ(c.reps[2]->data().at("x"), "3");
+}
+
 }  // namespace

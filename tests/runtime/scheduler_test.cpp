@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "runtime/fault.hpp"
 #include "runtime/wait_queue.hpp"
 
 namespace {
@@ -247,6 +249,127 @@ TEST(Scheduler, StaleTimerHeapStaysBounded) {
   EXPECT_LT(heap_high_water, 300u);
   EXPECT_LT(sched.timer_heap_size(), 300u);
   EXPECT_LT(sched.stale_timer_count(), 300u);
+}
+
+// ---- The context switch itself ------------------------------------------
+
+TEST(Scheduler, FloatingPointControlStateIsPerFiber) {
+  // The switch saves MXCSR and the x87 control word with the other
+  // callee-saved state, as swapcontext did: a rounding mode set in one
+  // fiber neither leaks into another nor is lost across a switch.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  Scheduler sched;
+  volatile double one = 1.0;
+  volatile double three = 3.0;  // volatile: divide at run time
+  int down_saw_at_start = -1;
+  int up_after_yield = -1;
+  int down_after_yield = -1;
+  double up_third = 0.0;
+  double down_third = 0.0;
+  sched.spawn("up", [&] {
+    std::fesetround(FE_UPWARD);
+    sched.yield();
+    up_after_yield = std::fegetround();
+    up_third = one / three;
+  });
+  sched.spawn("down", [&] {
+    down_saw_at_start = std::fegetround();
+    std::fesetround(FE_DOWNWARD);
+    sched.yield();
+    down_after_yield = std::fegetround();
+    down_third = one / three;
+  });
+  const bool ok = sched.run().ok();
+  const int loop_after = std::fegetround();
+  std::fesetround(FE_TONEAREST);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(down_saw_at_start, FE_TONEAREST);
+  EXPECT_EQ(up_after_yield, FE_UPWARD);
+  EXPECT_EQ(down_after_yield, FE_DOWNWARD);
+  EXPECT_GT(up_third, down_third);  // each fiber's SSE rounding held
+  EXPECT_EQ(loop_after, FE_TONEAREST);
+}
+
+TEST(Scheduler, ExceptionCaughtInsideFiberAfterManySwitches) {
+  Scheduler sched;
+  int caught = 0;
+  for (int f = 0; f < 2; ++f)
+    sched.spawn("thrower" + std::to_string(f), [&] {
+      for (int i = 0; i < 1000; ++i) {
+        try {
+          sched.yield();
+          if (i % 100 == 99)
+            throw std::runtime_error("boom " + std::to_string(i));
+        } catch (const std::runtime_error& e) {
+          if (std::string(e.what()) == "boom " + std::to_string(i)) ++caught;
+        }
+      }
+    });
+  ASSERT_TRUE(sched.run().ok());
+  EXPECT_EQ(caught, 20);
+}
+
+struct LiveFrame {
+  explicit LiveFrame(int& live) : live_(live) { ++live_; }
+  ~LiveFrame() { --live_; }
+  int& live_;
+};
+
+void park_deep(Scheduler& sched, int depth, int& live) {
+  LiveFrame frame(live);
+  volatile char pad[128];
+  pad[0] = static_cast<char>(depth);
+  if (depth == 0) {
+    sched.block("parked deep in recursion");
+    return;
+  }
+  park_deep(sched, depth - 1, live);
+  (void)pad[0];
+}
+
+TEST(Scheduler, FaultKillUnwindsFiberParkedDeepInRecursion) {
+  Scheduler sched;
+  int live = 0;
+  int deepest = 0;
+  const ProcessId victim = sched.spawn("victim", [&] {
+    park_deep(sched, 300, live);
+    ADD_FAILURE() << "a killed fiber must not resume its body";
+  });
+  sched.spawn("watcher", [&] { deepest = live; });
+  script::runtime::FaultPlan plan;
+  plan.crash_at_time(victim, 5);
+  sched.install_fault_plan(plan);
+  const RunResult r = sched.run();
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(deepest, 301);  // every frame was live while parked
+  EXPECT_EQ(live, 0);       // and every one was unwound by the kill
+  EXPECT_TRUE(sched.has_crashed(victim));
+}
+
+TEST(Scheduler, TenThousandFibersThroughPooledStacks) {
+  SchedulerOptions opts;
+  opts.stack_pool_max_idle = 1000;
+  Scheduler sched(opts);
+  constexpr int kWaves = 10;
+  constexpr int kPerWave = 1000;
+  int intact = 0;
+  for (int w = 0; w < kWaves; ++w) {
+    for (int i = 0; i < kPerWave; ++i)
+      sched.spawn("p", [&sched, &intact, tag = w * kPerWave + i] {
+        // Stack contents must survive a switch on a recycled stack.
+        volatile int stamp[64];
+        for (int k = 0; k < 64; ++k) stamp[k] = tag + k;
+        sched.yield();
+        bool same = true;
+        for (int k = 0; k < 64; ++k) same = same && stamp[k] == tag + k;
+        if (same) ++intact;
+      });
+    ASSERT_TRUE(sched.run().ok());
+  }
+  EXPECT_EQ(intact, kWaves * kPerWave);
+  EXPECT_EQ(sched.spawned_count(),
+            static_cast<std::size_t>(kWaves * kPerWave));
+  EXPECT_GE(sched.stack_pool_stats().reuse_ratio(), 0.9);
 }
 
 }  // namespace

@@ -55,6 +55,10 @@ ABS_LIMITS = {
     # PeerSupervisor + Wire pumps, heartbeats live, no app frames)
     # beside a dense fiber churn stays under 5%.
     "wire.arming_overhead_pct": 5.0,
+    # docs/PERFORMANCE.md: a steady-state CSP rendezvous, named or
+    # anonymous, performs no heap allocation (C7, counting operator new).
+    "rendezvous.named.allocs_per_msg": 0.0,
+    "rendezvous.any.allocs_per_msg": 0.0,
 }
 
 # Hardware-gated speedup floors (bigger is better, unlike ABS_LIMITS).
