@@ -5,8 +5,9 @@
 // the fiber substrate we built actually delivers language-level-cheap
 // processes: a yield costs tens of nanoseconds, spawn/run cost stays
 // linear to 10k fibers, a steady-state rendezvous allocates nothing and
-// finds its partner without searching the other parked processes, and
-// a full script performance with hundreds of roles stays in the
+// finds its partner without searching the other parked processes, a
+// repeated enroll -> perform -> release cycle allocates nothing either,
+// and a full script performance with hundreds of roles stays in the
 // millisecond range.
 #include <chrono>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "script/instance.hpp"
 #include "scripts/broadcast.hpp"
 
 namespace {
@@ -31,10 +33,17 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would otherwise pair an inlined free() with the
+// operator new call it sees at the allocation site and warn of a
+// mismatch (-Wmismatched-new-delete), though both sides are malloc-based.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -128,6 +137,81 @@ SteadyRendezvous steady_rendezvous(std::size_t pairs, int timed,
   if (!sched.run().ok() || !closed || out.msgs == 0) std::abort();
   out.ns_per_msg = ns_between(t0, t1) / static_cast<double>(out.msgs);
   return out;
+}
+
+/// Allocations per performance of one script instance cycling in
+/// steady state: `recipients` == 1 is a 2-role pair whose processes name
+/// each other; otherwise a sender hands one value to `recipients`
+/// members of a family who enroll unnamed. Every enrollment carries two
+/// data parameters. The window covers `timed` performances after
+/// kWarm warm-up ones (records, stacks and scratch vectors reach their
+/// size) and closes kCool performances before anyone exits.
+double cycle_allocs_per_perf(int recipients, int timed) {
+  using script::core::any_member;
+  using script::core::Params;
+  using script::core::PartnerSpec;
+  using script::core::RoleContext;
+  using script::core::RoleId;
+  using script::core::ScriptInstance;
+  using script::core::ScriptSpec;
+  constexpr int kWarm = 8;
+  constexpr int kCool = 2;
+  const int total = kWarm + timed + kCool;
+  const bool pair = recipients == 1;
+  bench::Scheduler sched;
+  bench::Net net(sched);
+  ScriptSpec spec(pair ? "pair" : "cast");
+  if (pair)
+    spec.role("a").role("b");
+  else
+    spec.role("a").role_family("b", static_cast<std::size_t>(recipients));
+  ScriptInstance inst(net, spec);
+  inst.on_role("a", [&](RoleContext& ctx) {
+    const int v = ctx.param<int>("v");
+    if (pair) {
+      if (!ctx.send(RoleId("b"), v)) std::abort();
+    } else {
+      for (int i = 0; i < recipients; ++i)
+        if (!ctx.send(script::core::role("b", i), v)) std::abort();
+    }
+  });
+  inst.on_role("b", [](RoleContext& ctx) {
+    auto v = ctx.recv<int>(RoleId("a"));
+    if (!v) std::abort();
+    ctx.set_param("v", *v);
+  });
+  std::uint64_t allocs0 = 0;
+  std::uint64_t allocs = 0;
+  bench::ProcessId a_pid = 0;
+  bench::ProcessId b_pid = 0;
+  a_pid = net.spawn_process("a", [&] {
+    for (int c = 0; c < total; ++c) {
+      if (c == kWarm) allocs0 = g_allocs;
+      if (c == kWarm + timed) allocs = g_allocs - allocs0;
+      const PartnerSpec with =
+          pair ? PartnerSpec().with(RoleId("b"), b_pid) : PartnerSpec();
+      inst.enroll(RoleId("a"), with, Params().in("v", c).in("cycle", c));
+    }
+  });
+  for (int r = 0; r < recipients; ++r) {
+    const auto body = [&] {
+      for (int c = 0; c < total; ++c) {
+        int got = -1;
+        const PartnerSpec with =
+            pair ? PartnerSpec().with(RoleId("a"), a_pid) : PartnerSpec();
+        inst.enroll(pair ? RoleId("b") : any_member("b"), with,
+                    Params().out("v", &got).in("cycle", c));
+        if (got != c) std::abort();
+      }
+    };
+    const bench::ProcessId pid =
+        net.spawn_process("b" + std::to_string(r), body);
+    if (r == 0) b_pid = pid;
+  }
+  if (!sched.run().ok() ||
+      inst.performances_completed() != static_cast<std::uint64_t>(total))
+    std::abort();
+  return static_cast<double>(allocs) / timed;
 }
 
 }  // namespace
@@ -226,6 +310,24 @@ int main() {
       telemetry.gauge("rendezvous." + kind + ".allocs_per_msg",
                       static_cast<double>(allocs) /
                           static_cast<double>(msgs));
+    }
+    table.print();
+  }
+
+  {
+    // A script performance repeated on one instance: enrollment,
+    // matching, the role bodies' rendezvous and release. Gated at 0
+    // (docs/PERFORMANCE.md, "Script cycle").
+    std::printf("\n");
+    bench::Table table({"script", "timed perfs", "allocs/perf"});
+    for (const auto& [name, recipients] :
+         {std::pair<const char*, int>{"pair", 1}, {"cast64", 63}}) {
+      constexpr int kTimed = 200;
+      const double allocs = cycle_allocs_per_perf(recipients, kTimed);
+      table.add_row({name, bench::Table::integer(kTimed),
+                     bench::Table::num(allocs, 3)});
+      telemetry.gauge(std::string("script.") + name + ".allocs_per_perf",
+                      allocs);
     }
     table.print();
   }

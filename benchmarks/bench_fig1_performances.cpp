@@ -29,6 +29,7 @@ struct Outcome {
 
 Outcome run_scenario(Initiation init, Termination term, bool print_trace) {
   bench::Scheduler sched;
+  sched.enable_trace_log();
   bench::Net net(sched);
   ScriptSpec spec("s");
   spec.role("p").role("q").role("r");

@@ -51,8 +51,12 @@ void list_erase(OpList& list, PendingOp* op) {
   links = OpLinks{};
 }
 
-OpList& grow_to(std::vector<OpList>& lists, ProcessId pid) {
-  if (pid >= lists.size()) lists.resize(pid + 1);
+/// lists[pid], growing the index to cover every process spawned so far
+/// (`spawned`) at once: a steady state never grows it again.
+OpList& grow_to(std::vector<OpList>& lists, ProcessId pid,
+                std::size_t spawned) {
+  if (pid >= lists.size())
+    lists.resize(std::max<std::size_t>(pid + 1, spawned));
   return lists[pid];
 }
 
@@ -90,12 +94,14 @@ bool Net::is_terminated(ProcessId pid) const {
 
 OpList& Net::peer_list(const PendingOp& op) {
   return op.peer == kAnyProcess ? open_[static_cast<int>(op.dir)]
-                                : grow_to(by_peer_, op.peer);
+                                : grow_to(by_peer_, op.peer,
+                                          sched_->spawned_count());
 }
 
 void Net::link(PendingOp* op) {
   op->seq = link_seq_++;
-  list_push<&PendingOp::by_owner>(grow_to(by_owner_, op->owner), op);
+  list_push<&PendingOp::by_owner>(
+      grow_to(by_owner_, op->owner, sched_->spawned_count()), op);
   list_push<&PendingOp::by_peer>(peer_list(*op), op);
   op->linked = true;
   ++pending_count_;
@@ -287,7 +293,7 @@ PendingOp* Net::pick_match(Dir my_dir, ProcessId me, ProcessId my_peer,
   return matches_.empty() ? nullptr : choose(matches_);
 }
 
-Result<void> Net::send_erased(ProcessId to, const std::string& tag,
+Result<void> Net::send_erased(ProcessId to, std::string_view tag,
                               Message value, std::type_index type,
                               std::uint64_t timeout_ticks) {
   const ProcessId me = sched_->current();
@@ -304,7 +310,7 @@ Result<void> Net::send_erased(ProcessId to, const std::string& tag,
       if (sched_->bus().wants(obs::Subsystem::Fault))
         sched_->bus().publish({obs::EventKind::Instant,
                                obs::Subsystem::Fault, obs::kAutoTime, me,
-                               obs::kNoLane, "fault.drop", tag});
+                               obs::kNoLane, "fault.drop", std::string(tag)});
       if (lat > 0) sched_->sleep_for(lat);
       return {};
     }
@@ -338,7 +344,7 @@ Result<void> Net::send_erased(ProcessId to, const std::string& tag,
 }
 
 Result<std::pair<ProcessId, Message>> Net::recv_erased(
-    ProcessId from, std::vector<ProcessId> peer_set, const std::string& tag,
+    ProcessId from, std::vector<ProcessId> peer_set, std::string_view tag,
     std::type_index type, std::uint64_t timeout_ticks) {
   const ProcessId me = sched_->current();
   runtime::FaultPlan* plan = sched_->fault_plan();
@@ -356,7 +362,7 @@ Result<std::pair<ProcessId, Message>> Net::recv_erased(
       if (sched_->bus().wants(obs::Subsystem::Fault))
         sched_->bus().publish({obs::EventKind::Instant,
                                obs::Subsystem::Fault, obs::kAutoTime, me,
-                               obs::kNoLane, "fault.drop", tag});
+                               obs::kNoLane, "fault.drop", std::string(tag)});
       complete_with(pick, Dir::Recv, Message());
       continue;
     }

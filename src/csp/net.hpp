@@ -115,16 +115,19 @@ class Net {
 
   // ---- Primitive communication commands (block the calling fiber) ----
 
+  // Tags are viewed, never copied: the caller's string must outlive the
+  // call (a parked offer points into it while its poster is blocked).
+
   /// Output command `to ! tag(value)`. Fails if `to` has terminated.
   template <typename T>
-  Result<void> send(ProcessId to, const std::string& tag, T value) {
+  Result<void> send(ProcessId to, std::string_view tag, T value) {
     return send_erased(to, tag, Message::of<T>(std::move(value)),
                        std::type_index(typeid(T)));
   }
 
   /// Input command `from ? tag(x)`. Fails if `from` has terminated.
   template <typename T>
-  Result<T> recv(ProcessId from, const std::string& tag) {
+  Result<T> recv(ProcessId from, std::string_view tag) {
     auto r = recv_erased(from, {}, tag, std::type_index(typeid(T)));
     if (!r) return support::make_unexpected(r.error());
     return r->second.template as<T>();
@@ -135,7 +138,7 @@ class Net {
   /// send() that gives up with CommError::TimedOut after `timeout_ticks`
   /// of virtual time with no willing receiver.
   template <typename T>
-  Result<void> send_for(ProcessId to, const std::string& tag, T value,
+  Result<void> send_for(ProcessId to, std::string_view tag, T value,
                         std::uint64_t timeout_ticks) {
     return send_erased(to, tag, Message::of<T>(std::move(value)),
                        std::type_index(typeid(T)), timeout_ticks);
@@ -143,7 +146,7 @@ class Net {
 
   /// recv() that gives up with CommError::TimedOut after `timeout_ticks`.
   template <typename T>
-  Result<T> recv_for(ProcessId from, const std::string& tag,
+  Result<T> recv_for(ProcessId from, std::string_view tag,
                      std::uint64_t timeout_ticks) {
     auto r = recv_erased(from, {}, tag, std::type_index(typeid(T)),
                          timeout_ticks);
@@ -154,7 +157,7 @@ class Net {
   /// Input from any partner (paper's unnamed-communication extension).
   /// Never fails; blocks until some process sends.
   template <typename T>
-  Result<std::pair<ProcessId, T>> recv_any(const std::string& tag) {
+  Result<std::pair<ProcessId, T>> recv_any(std::string_view tag) {
     auto r = recv_erased(kAnyProcess, {}, tag, std::type_index(typeid(T)));
     if (!r) return support::make_unexpected(r.error());
     return std::pair<ProcessId, T>{r->first, r->second.template as<T>()};
@@ -163,7 +166,7 @@ class Net {
   /// Input from any of `candidates`; fails once all have terminated.
   template <typename T>
   Result<std::pair<ProcessId, T>> recv_from(
-      std::vector<ProcessId> candidates, const std::string& tag) {
+      std::vector<ProcessId> candidates, std::string_view tag) {
     auto r = recv_erased(kAnyProcess, std::move(candidates), tag,
                          std::type_index(typeid(T)));
     if (!r) return support::make_unexpected(r.error());
@@ -176,7 +179,7 @@ class Net {
   /// otherwise return false WITHOUT parking (never blocks beyond the
   /// transfer latency).
   template <typename T>
-  bool try_send(ProcessId to, const std::string& tag, T value) {
+  bool try_send(ProcessId to, std::string_view tag, T value) {
     if (is_terminated(to)) return false;
     detail::PendingOp* pick =
         pick_match(detail::Dir::Send, sched_->current(), to, {}, tag,
@@ -190,7 +193,7 @@ class Net {
   /// return nullopt WITHOUT parking.
   template <typename T>
   std::optional<std::pair<ProcessId, T>> try_recv(ProcessId from,
-                                                  const std::string& tag) {
+                                                  std::string_view tag) {
     detail::PendingOp* pick =
         pick_match(detail::Dir::Recv, sched_->current(), from, {}, tag,
                    std::type_index(typeid(T)));
@@ -203,7 +206,7 @@ class Net {
   /// try_recv from any partner.
   template <typename T>
   std::optional<std::pair<ProcessId, T>> try_recv_any(
-      const std::string& tag) {
+      std::string_view tag) {
     return try_recv<T>(kAnyProcess, tag);
   }
 
@@ -263,12 +266,12 @@ class Net {
  private:
   friend class Alternative;
 
-  Result<void> send_erased(ProcessId to, const std::string& tag,
+  Result<void> send_erased(ProcessId to, std::string_view tag,
                            Message value, std::type_index type,
                            std::uint64_t timeout_ticks = kNoTimeout);
   Result<std::pair<ProcessId, Message>> recv_erased(
       ProcessId from, std::vector<ProcessId> peer_set,
-      const std::string& tag, std::type_index type,
+      std::string_view tag, std::type_index type,
       std::uint64_t timeout_ticks = kNoTimeout);
 
   /// Fail one parked offer: wake its owner with PeerTerminated (and

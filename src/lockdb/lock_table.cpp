@@ -90,7 +90,7 @@ std::size_t LockTable::reap_expired(std::uint64_t now) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     Entry& e = it->second;
     for (auto lit = e.leases.begin(); lit != e.leases.end();) {
-      if (lit->second <= now) {
+      if (lit->second <= now && !(pinned_ && pinned_(lit->first))) {
         e.owners.erase(lit->first);
         ++reaped;
         if (observed)

@@ -82,9 +82,19 @@ class LockTable {
   /// Requests refused because their deadline had already passed.
   std::uint64_t deadline_expiries() const { return deadline_expiries_; }
 
-  /// Drop every grant whose lease expired at or before `now`. Returns
-  /// how many grants were reclaimed (publishes lock.lease_expired).
+  /// Drop every grant whose lease expired at or before `now`, except
+  /// pinned owners' (set_pinned). Returns how many grants were
+  /// reclaimed (publishes lock.lease_expired).
   std::size_t reap_expired(std::uint64_t now);
+
+  /// Owners whose expired leases reap_expired() keeps. A replica pins
+  /// the owner of a prepared, undecided transaction: its X locks are
+  /// what isolates the 2PC, so they hold until the decision (or
+  /// recovery) resolves it, whatever the lease says. Consulted only for
+  /// expired leases; nullptr (the default) pins nobody.
+  void set_pinned(std::function<bool(OwnerId)> pinned) {
+    pinned_ = std::move(pinned);
+  }
 
   /// Virtual-time source for the automatic reap in acquire(). nullptr
   /// (the default) disables automatic reaping.
@@ -138,6 +148,7 @@ class LockTable {
   std::uint64_t leases_reaped_ = 0;
   std::uint64_t deadline_expiries_ = 0;
   std::function<std::uint64_t()> clock_;
+  std::function<bool(OwnerId)> pinned_;
   obs::EventBus* bus_ = nullptr;
 };
 

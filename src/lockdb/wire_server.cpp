@@ -180,6 +180,14 @@ WireReplica::WireReplica(runtime::Scheduler& sched, runtime::Wire& wire,
       opts_(std::move(opts)) {
   std::sort(opts_.replicas.begin(), opts_.replicas.end());
   recompute_primary("init");
+  // A prepared transaction's locks outlive its lease until `dec` or
+  // recover() decides it: reaping them would let a conflicting
+  // transaction prepare and commit beside it.
+  table_->set_pinned([staged = staged_owner_](OwnerId owner) {
+    for (const auto& [txn, writes] : *staged)
+      if (parse_number<OwnerId>(txn) == owner) return true;
+    return false;
+  });
 }
 
 void WireReplica::publish(const char* name, std::string detail,

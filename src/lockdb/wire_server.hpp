@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -92,6 +93,8 @@ class WireReplica {
  public:
   WireReplica(runtime::Scheduler& sched, runtime::Wire& wire,
               LockTable& table, Wal& wal, WireReplicaOptions opts);
+  WireReplica(const WireReplica&) = delete;
+  WireReplica& operator=(const WireReplica&) = delete;
 
   /// WAL replay + in-doubt resolution + primary catch-up. Call before
   /// start() on every incarnation (a fresh WAL replays to nothing).
@@ -146,7 +149,12 @@ class WireReplica {
   obs::EventBus* bus_ = nullptr;
 
   std::map<std::string, std::string> kv_;
-  std::map<std::string, std::string> staged_;  // txn -> "k=v;k=v"
+  // Prepared, undecided transactions: txn -> "k=v;k=v". Shared with
+  // the lock table's pin hook (LockTable::set_pinned), which may
+  // outlive this replica.
+  std::shared_ptr<std::map<std::string, std::string>> staged_owner_ =
+      std::make_shared<std::map<std::string, std::string>>();
+  std::map<std::string, std::string>& staged_ = *staged_owner_;
   std::set<runtime::PeerId> dead_;
   runtime::PeerId primary_ = runtime::kNoPeer;
   bool stopping_ = false;

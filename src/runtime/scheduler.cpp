@@ -82,10 +82,6 @@ std::string describe(const RunResult& result, const Scheduler& sched) {
 Scheduler::Scheduler(SchedulerOptions opts)
     : opts_(opts), rng_(opts.seed), stack_pool_(opts.stack_pool_max_idle) {
   bus_.set_clock([this] { return static_cast<std::uint64_t>(now_); });
-  // The prose TraceLog is a bus subscriber: script-layer milestones are
-  // published once and worded here, keeping log and exporters in sync.
-  obs::install_script_log_bridge(
-      bus_, trace_, [this](obs::Pid p) { return name_of(p); });
   if (opts_.event_history != 0) bus_.set_history(opts_.event_history);
   if (opts_.workers > 0) {
     // M:N work-stealing backend. Workers publish and recycle stacks
@@ -112,6 +108,7 @@ Scheduler::Scheduler(SchedulerOptions opts)
     fopts.dump_path = std::string(base) + "-" + std::to_string(getpid()) +
                       "-" + std::to_string(flight_seq++);
     arm_flight_recorder(std::move(fopts));
+    flight_env_default_ = true;
   }
   if (const char* base = std::getenv("SCRIPT_TIMELINE");
       base != nullptr && *base != '\0') {
@@ -122,6 +119,7 @@ Scheduler::Scheduler(SchedulerOptions opts)
     topts.dump_path = std::string(base) + "-" + std::to_string(getpid()) +
                       "-" + std::to_string(timeline_seq++);
     arm_timeline(std::move(topts));
+    timeline_env_default_ = true;
   }
   if (const char* path = std::getenv("SCRIPT_DEBUG_SOCK");
       path != nullptr && *path != '\0') {
@@ -158,6 +156,25 @@ Scheduler::~Scheduler() {
   fibers_.clear();
 }
 
+support::TraceLog& Scheduler::enable_trace_log() {
+  if (trace_log_ == nullptr) {
+    // The prose log is a bus subscriber: script-layer milestones are
+    // published once and worded by the bridge, keeping log and
+    // exporters in sync.
+    trace_log_ = std::make_unique<support::TraceLog>();
+    obs::install_script_log_bridge(
+        bus_, *trace_log_, [this](obs::Pid p) { return name_of(p); });
+  }
+  return *trace_log_;
+}
+
+support::TraceLog& Scheduler::trace() {
+  SCRIPT_ASSERT(trace_log_ != nullptr,
+                "Scheduler::trace(): the prose log is off; call "
+                "enable_trace_log() before running");
+  return *trace_log_;
+}
+
 obs::TraceExporter& Scheduler::enable_tracing() {
   if (exporter_ == nullptr) {
     // A timeline without happens-before arrows is half a timeline:
@@ -182,14 +199,19 @@ void Scheduler::causal_edge(ProcessId from, ProcessId to,
 }
 
 obs::FlightRecorder& Scheduler::arm_flight_recorder() {
+  if (flight_ != nullptr) return *flight_;
   return arm_flight_recorder(obs::FlightRecorderOptions{});
 }
 
 obs::FlightRecorder& Scheduler::arm_flight_recorder(
     obs::FlightRecorderOptions opts) {
-  if (flight_ == nullptr) {
+  // Explicit options outrank a recorder $SCRIPT_FLIGHT armed with
+  // defaults at construction; otherwise the first arming wins.
+  if (flight_ == nullptr || flight_env_default_) {
+    flight_.reset();  // unsubscribe before the replacement subscribes
     flight_ = std::make_unique<obs::FlightRecorder>(bus_, std::move(opts));
     flight_->set_fiber_namer([this](obs::Pid p) { return name_of(p); });
+    flight_env_default_ = false;
   }
   return *flight_;
 }
@@ -206,11 +228,16 @@ obs::HealthMonitor& Scheduler::enable_health() {
 }
 
 obs::Timeline& Scheduler::arm_timeline() {
+  if (timeline_ != nullptr) return *timeline_;
   return arm_timeline(obs::TimelineOptions{});
 }
 
 obs::Timeline& Scheduler::arm_timeline(obs::TimelineOptions opts) {
-  if (timeline_ == nullptr) {
+  // Same rule as arm_flight_recorder: explicit options replace a
+  // $SCRIPT_TIMELINE default.
+  if (timeline_ == nullptr || timeline_env_default_) {
+    timeline_.reset();
+    timeline_env_default_ = false;
     timeline_ = std::make_unique<obs::Timeline>(bus_, std::move(opts));
     timeline_->set_clock([this] { return static_cast<std::uint64_t>(now_); });
     timeline_->set_lane_namer(
@@ -305,7 +332,10 @@ void Scheduler::register_debug_handlers() {
           const std::uint64_t v = health_->violations();
           if (v > c.value()) c.inc(v - c.value());
         }
-        reg.import_tracelog_truncation(trace_);
+        if (trace_log_ != nullptr)
+          reg.import_tracelog_truncation(*trace_log_);
+        else
+          reg.counter("tracelog.truncated_events");
         return reg.expose_prometheus();
       });
   debug_->register_handler(
@@ -379,8 +409,9 @@ bool Scheduler::write_trace(const std::string& path) const {
   // repeated writes stay consistent). truncated_events > 0 flags that
   // the prose TraceLog's ring dropped entries — the exported timeline
   // itself is complete, but the companion log is not.
-  exporter_->set_metadata("truncated_events",
-                          static_cast<double>(trace_.evicted()));
+  exporter_->set_metadata(
+      "truncated_events",
+      static_cast<double>(trace_log_ != nullptr ? trace_log_->evicted() : 0));
   exporter_->set_metadata("virtual_time", static_cast<double>(now_));
   return exporter_->write(path);
 }
@@ -729,7 +760,8 @@ FiberState Scheduler::state_of(ProcessId pid) const {
 std::size_t Scheduler::live_count() const { return live_; }
 
 void Scheduler::trace_event(ProcessId subject, std::string what) {
-  trace_.record(now_, name_of(subject), std::move(what));
+  if (trace_log_ != nullptr)
+    trace_log_->record(now_, name_of(subject), std::move(what));
 }
 
 Fiber& Scheduler::fiber(ProcessId pid) {

@@ -303,12 +303,22 @@ class Scheduler {
   }
 
   support::Rng& rng() { return rng_; }
-  support::TraceLog& trace() { return trace_; }
-  /// Record a trace event stamped with virtual time and the fiber's name.
+  /// Opt in to the Figure-1 prose log: installs the bus subscriber
+  /// (obs::install_script_log_bridge) that words script milestones as
+  /// "D attempts to enroll as p", "performance 1 begins". Off by
+  /// default, so an unobserved scheduler's script layer publishes
+  /// nothing. Idempotent; returns the log.
+  support::TraceLog& enable_trace_log();
+  bool trace_log_enabled() const { return trace_log_ != nullptr; }
+  /// The prose log. Fails loudly unless enable_trace_log() ran first —
+  /// an empty log must never pass for a quiet run.
+  support::TraceLog& trace();
+  /// Record a trace event stamped with virtual time and the fiber's
+  /// name. No-op while the prose log is off.
   void trace_event(ProcessId subject, std::string what);
 
   /// Typed observability bus. Every layer publishes here; the prose
-  /// TraceLog is itself a bus subscriber (obs::install_script_log_bridge).
+  /// TraceLog, once enabled, is itself a bus subscriber.
   obs::EventBus& bus() { return bus_; }
   const obs::EventBus& bus() const { return bus_; }
 
@@ -345,7 +355,8 @@ class Scheduler {
   /// give-ups, deadlock). Idempotent; the no-arg overload uses default
   /// options. Setting $SCRIPT_FLIGHT=<base path> arms at construction
   /// (dump files are suffixed with the process id and a sequence number
-  /// so parallel test shards never collide).
+  /// so parallel test shards never collide); an explicit-options call
+  /// replaces such an env-armed default, the no-arg call keeps it.
   obs::FlightRecorder& arm_flight_recorder();
   obs::FlightRecorder& arm_flight_recorder(obs::FlightRecorderOptions opts);
   bool flight_recorder_armed() const { return flight_ != nullptr; }
@@ -365,7 +376,8 @@ class Scheduler {
   /// flight recorder it auto-dumps on failure escalations; unlike it,
   /// its dumps are history, not an event log. Idempotent. Setting
   /// $SCRIPT_TIMELINE=<base path> arms at construction the way
-  /// $SCRIPT_FLIGHT does. Also backs the HealthMonitor's burn-rate
+  /// $SCRIPT_FLIGHT does (explicit options replace that default, as
+  /// with the recorder). Also backs the HealthMonitor's burn-rate
   /// windows (wired automatically in either arming order).
   obs::Timeline& arm_timeline();
   obs::Timeline& arm_timeline(obs::TimelineOptions opts);
@@ -516,13 +528,18 @@ class Scheduler {
 
   SchedulerOptions opts_;
   support::Rng rng_;
-  support::TraceLog trace_;
+  // Declared before bus_ so the log outlives the bridge subscription.
+  std::unique_ptr<support::TraceLog> trace_log_;
   obs::EventBus bus_;
   std::unique_ptr<obs::TraceExporter> exporter_;
   std::unique_ptr<obs::CausalTracker> causal_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::HealthMonitor> health_;
   std::unique_ptr<obs::Timeline> timeline_;
+  // Armed by $SCRIPT_FLIGHT / $SCRIPT_TIMELINE with default options; an
+  // explicit arm_*(opts) call replaces such a recorder.
+  bool flight_env_default_ = false;
+  bool timeline_env_default_ = false;
   std::unique_ptr<obs::Inspector> inspector_;
   std::unique_ptr<DebugEndpoint> debug_;
   std::string trace_path_;  // from $SCRIPT_TRACE; written in the dtor

@@ -1,6 +1,8 @@
 #include "script/instance.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 
 #include "obs/health.hpp"
 #include "obs/inspector.hpp"
@@ -10,8 +12,16 @@
 
 namespace script::core {
 
+using detail::kCompleted;
+using detail::kFailed;
+using detail::kOut;
 using detail::MatchState;
 using detail::RequestView;
+
+namespace {
+constexpr std::uint8_t kFinished = kCompleted | kFailed;
+constexpr std::uint8_t kTerminated = kCompleted | kFailed | kOut;
+}  // namespace
 
 ScriptInstance::ScriptInstance(csp::Net& net, ScriptSpec spec,
                                std::string instance_name)
@@ -64,7 +74,7 @@ std::string ScriptInstance::report() const {
     out += "\n  awaiting takeover of " + r.str() + " (was " +
            sched_->name_of(st.old_pid) + ", deadline t=" +
            std::to_string(st.deadline) + ")";
-  out += "\n  queued requests: " + std::to_string(queue_.size());
+  out += "\n  queued requests: " + std::to_string(queue_size_);
   return out;
 }
 
@@ -74,7 +84,7 @@ std::string ScriptInstance::snapshot_json() const {
   w.key("script").value(name_);
   w.key("completed").value(completed_perfs_);
   w.key("aborted").value(aborted_perfs_);
-  w.key("queue_length").value(static_cast<std::uint64_t>(queue_.size()));
+  w.key("queue_length").value(static_cast<std::uint64_t>(queue_size_));
   // Overload state appears only once the admission controller has acted
   // (keeps pinned snapshots of unconfigured scripts byte-stable).
   if (shed_count_ > 0) w.key("sheds").value(shed_count_);
@@ -92,11 +102,14 @@ std::string ScriptInstance::snapshot_json() const {
     w.end();
   }
   w.key("waiting").array();
-  for (const auto& [role, queued] : queued_by_role_) {
-    w.object();
-    w.key("role").value(role);
-    w.key("queued").value(static_cast<std::uint64_t>(queued));
-    w.end();
+  if (!queued_by_role_.empty()) {
+    for (const std::size_t d : spec_.decls_by_name()) {
+      if (queued_by_role_[d] == 0) continue;
+      w.object();
+      w.key("role").value(spec_.roles()[d].name);
+      w.key("queued").value(static_cast<std::uint64_t>(queued_by_role_[d]));
+      w.end();
+    }
   }
   w.end();
   w.key("performance");
@@ -107,25 +120,33 @@ std::string ScriptInstance::snapshot_json() const {
     w.object();
     w.key("number").value(p.number);
     if (spec_.budget().any()) w.key("started_at").value(p.started_at);
+    // Slots are visited in RoleId order, the order the snapshot has
+    // always listed roles in.
     w.key("roles").array();
-    for (const auto& [r, pid] : p.state.bindings) {
+    p.state.for_each_slot([&](std::size_t s) {
+      const detail::RoleSlot& slot = p.state.slot(s);
+      if (slot.pid == kNoProcess) return;
+      const RoleId r = p.state.role_at(s);
       w.object();
       w.key("role").value(r.str());
-      w.key("pid").value(static_cast<std::uint64_t>(pid));
-      w.key("process").value(sched_->name_of(pid));
-      w.key("done").value(p.completed.count(r) > 0);
+      w.key("pid").value(static_cast<std::uint64_t>(slot.pid));
+      w.key("process").value(sched_->name_of(slot.pid));
+      w.key("done").value((slot.flags & kCompleted) != 0);
       const auto inc = p.incarnations.find(r);
       if (inc != p.incarnations.end())
         w.key("incarnation").value(inc->second);
       w.end();
-    }
+    });
     w.end();
-    w.key("out").array();
-    for (const RoleId& r : p.out) w.value(r.str());
-    w.end();
-    w.key("failed").array();
-    for (const RoleId& r : p.failed) w.value(r.str());
-    w.end();
+    const auto flagged = [&](const char* key, std::uint8_t flag) {
+      w.key(key).array();
+      p.state.for_each_slot([&](std::size_t s) {
+        if (p.state.slot(s).flags & flag) w.value(p.state.role_at(s).str());
+      });
+      w.end();
+    };
+    flagged("out", kOut);
+    flagged("failed", kFailed);
     if (p.aborted) w.key("aborted").value(true);
     w.key("awaiting_takeover").array();
     for (const auto& [r, st] : p.awaiting_takeover) {
@@ -150,31 +171,37 @@ void ScriptInstance::enable_health(obs::HealthMonitor& monitor) {
   if (health_ != nullptr) return;
   health_ = &monitor;
   monitor.watch_script(obs_lane(), name_, spec_.slo(),
-                       [this] { return queue_.size(); });
+                       [this] { return queue_size_; });
 }
 
 void ScriptInstance::enqueue(Request& req) {
-  req.queue_pos = queue_.insert(queue_.end(), &req);
+  req.prev = queue_tail_;
+  req.next = nullptr;
+  (queue_tail_ != nullptr ? queue_tail_->next : queue_head_) = &req;
+  queue_tail_ = &req;
+  ++queue_size_;
   req.queued = true;
-  ++queued_by_role_[req.requested.name];
+  if (queued_by_role_.empty()) queued_by_role_.assign(spec_.roles().size(), 0);
+  ++queued_by_role_[req.decl];
 }
 
 void ScriptInstance::dequeue(Request& req) {
   if (!req.queued) return;
-  queue_.erase(req.queue_pos);
+  (req.prev != nullptr ? req.prev->next : queue_head_) = req.next;
+  (req.next != nullptr ? req.next->prev : queue_tail_) = req.prev;
+  req.prev = req.next = nullptr;
+  --queue_size_;
   req.queued = false;
-  const auto it = queued_by_role_.find(req.requested.name);
-  SCRIPT_ASSERT(it != queued_by_role_.end() && it->second > 0,
+  SCRIPT_ASSERT(queued_by_role_[req.decl] > 0,
                 "waiter index out of sync for role " + req.requested.name);
-  if (--it->second == 0) queued_by_role_.erase(it);
+  --queued_by_role_[req.decl];
 }
 
 bool ScriptInstance::queued_covers_critical() const {
-  for (const CriticalSet& cs : spec_.critical_sets()) {
+  for (const auto& reqs : spec_.critical_reqs()) {
     bool ok = true;
-    for (const auto& [name, needed] : cs) {
-      const auto it = queued_by_role_.find(name);
-      if ((it == queued_by_role_.end() ? 0 : it->second) < needed) {
+    for (const CriticalReq& r : reqs) {
+      if (queued_by_role_[r.decl] < r.needed) {
         ok = false;
         break;
       }
@@ -185,51 +212,58 @@ bool ScriptInstance::queued_covers_critical() const {
 }
 
 bool ScriptInstance::admission_possible() const {
-  if (queued_by_role_.empty()) return false;
-  // Out roles consume capacity just like bound ones: an admission into
-  // them is excluded. Count them per family once.
-  std::map<std::string, std::size_t> out_by_name;
-  for (const RoleId& r : active_->out) ++out_by_name[r.name];
-  for (const auto& [name, waiting] : queued_by_role_) {
-    const RoleDecl& d = spec_.decl(name);
-    if (d.open_ended) return true;  // open families always have room
-    const auto out_it = out_by_name.find(name);
-    const std::size_t used =
-        active_->state.bound_count(name) +
-        (out_it == out_by_name.end() ? 0 : out_it->second);
-    if (used < d.count) return true;
+  if (queue_size_ == 0) return false;
+  for (std::size_t d = 0; d < queued_by_role_.size(); ++d) {
+    if (queued_by_role_[d] == 0) continue;
+    const RoleDecl& decl = spec_.roles()[d];
+    if (decl.open_ended) return true;  // open families always have room
+    // Out roles consume capacity just like bound ones: an admission
+    // into them is excluded.
+    const std::size_t first = spec_.first_slot(d);
+    for (std::size_t s = first; s < first + decl.count; ++s) {
+      const detail::RoleSlot& slot = active_->state.slot(s);
+      if (slot.pid == kNoProcess && (slot.flags & kOut) == 0) return true;
+    }
   }
   return false;
 }
 
 ScriptInstance& ScriptInstance::on_role(const std::string& role_name,
                                         RoleBody body) {
-  SCRIPT_ASSERT(spec_.has_role(role_name),
-                "on_role for unknown role " + role_name);
-  bodies_[role_name] = std::move(body);
+  const std::size_t d = spec_.decl_index(role_name);
+  SCRIPT_ASSERT(d != kNoSlot, "on_role for unknown role " + role_name);
+  if (bodies_.empty()) bodies_.resize(spec_.roles().size());
+  bodies_[d] = std::move(body);
   return *this;
+}
+
+std::optional<EnrollResult> ScriptInstance::open_request(
+    Request& req, const RoleId& role, const PartnerSpec& partners,
+    const char* event) {
+  req.decl = spec_.decl_index(role.name);
+  SCRIPT_ASSERT(req.decl != kNoSlot && spec_.valid(role),
+                "enrollment names invalid role " + role.str() + " in " +
+                    name_);
+  SCRIPT_ASSERT(req.decl < bodies_.size() && bodies_[req.decl],
+                "role " + role.name + " has no body attached");
+  req.pid = scheduler().current();
+  req.requested = role;
+  req.partners = &partners;
+  enqueue(req);
+  publish(obs::EventKind::Instant, req.pid, event, &role);
+  emit(ScriptEvent::Kind::EnrollAttempt, req.pid, role, 0);
+  auto refused = shed_check(role, req.pid);
+  if (refused) dequeue(req);
+  return refused;
 }
 
 EnrollResult ScriptInstance::enroll(const RoleId& role,
                                     const PartnerSpec& partners,
                                     Params params) {
   runtime::Scheduler& sched = scheduler();
-  SCRIPT_ASSERT(spec_.valid(role), "enrollment names invalid role " +
-                                       role.str() + " in " + name_);
-  SCRIPT_ASSERT(bodies_.count(role.name),
-                "role " + role.name + " has no body attached");
-
-  Request req;
-  req.pid = sched.current();
-  req.requested = role;
-  req.partners = &partners;
-  enqueue(req);
-  publish(obs::EventKind::Instant, req.pid, "enroll.attempt", role.str());
-  emit(ScriptEvent::Kind::EnrollAttempt, req.pid, role, 0);
-  if (auto refused = shed_check(role, req.pid)) {
-    dequeue(req);
+  Request req(*this);
+  if (auto refused = open_request(req, role, partners, "enroll.attempt"))
     return *refused;
-  }
 
   try_advance();
   try {
@@ -249,30 +283,15 @@ EnrollResult ScriptInstance::enroll(const RoleId& role,
 
 std::optional<EnrollResult> ScriptInstance::try_enroll(
     const RoleId& role, const PartnerSpec& partners, Params params) {
-  runtime::Scheduler& sched = scheduler();
-  SCRIPT_ASSERT(spec_.valid(role), "enrollment names invalid role " +
-                                       role.str() + " in " + name_);
-  SCRIPT_ASSERT(bodies_.count(role.name),
-                "role " + role.name + " has no body attached");
-
-  Request req;
-  req.pid = sched.current();
-  req.requested = role;
-  req.partners = &partners;
-  enqueue(req);
-  publish(obs::EventKind::Instant, req.pid, "enroll.attempt.guarded",
-          role.str());
-  emit(ScriptEvent::Kind::EnrollAttempt, req.pid, role, 0);
-  if (shed_check(role, req.pid)) {  // counted + published; guard just fails
-    dequeue(req);
+  Request req(*this);
+  // A shed is counted and published; the guard just fails.
+  if (open_request(req, role, partners, "enroll.attempt.guarded"))
     return std::nullopt;
-  }
 
   try_advance();
   if (!req.admitted) {
     dequeue(req);
-    publish(obs::EventKind::Instant, req.pid, "enroll.fail.guarded",
-            role.str());
+    publish(obs::EventKind::Instant, req.pid, "enroll.fail.guarded", &role);
     return std::nullopt;
   }
   return run_admitted(req, params);
@@ -282,23 +301,9 @@ std::optional<EnrollResult> ScriptInstance::enroll_for(
     const RoleId& role, std::uint64_t ticks, const PartnerSpec& partners,
     Params params) {
   runtime::Scheduler& sched = scheduler();
-  SCRIPT_ASSERT(spec_.valid(role), "enrollment names invalid role " +
-                                       role.str() + " in " + name_);
-  SCRIPT_ASSERT(bodies_.count(role.name),
-                "role " + role.name + " has no body attached");
-
-  Request req;
-  req.pid = sched.current();
-  req.requested = role;
-  req.partners = &partners;
-  enqueue(req);
-  publish(obs::EventKind::Instant, req.pid, "enroll.attempt.timed",
-          role.str());
-  emit(ScriptEvent::Kind::EnrollAttempt, req.pid, role, 0);
-  if (auto refused = shed_check(role, req.pid)) {
-    dequeue(req);
+  Request req(*this);
+  if (auto refused = open_request(req, role, partners, "enroll.attempt.timed"))
     return *refused;
-  }
 
   try_advance();
   const std::uint64_t deadline = sched.now() + ticks;
@@ -315,8 +320,7 @@ std::optional<EnrollResult> ScriptInstance::enroll_for(
             deadline - now, withdraw);
     if (timed_out && !req.admitted && !req.shed) {
       withdraw();  // covers the already-past-deadline fast path
-      publish(obs::EventKind::Instant, req.pid, "enroll.fail.timed",
-              role.str());
+      publish(obs::EventKind::Instant, req.pid, "enroll.fail.timed", &role);
       return std::nullopt;
     }
   }
@@ -383,10 +387,10 @@ std::optional<EnrollResult> ScriptInstance::shed_check(const RoleId& role,
         // strictly-greater. The health watchdogs latching (queue depth
         // over SLO, a supervised child near its restart budget) trips
         // the breaker too — admission follows the script's health.
-        if (queue_.size() > cfg.breaker_queue_depth ||
+        if (queue_size_ > cfg.breaker_queue_depth ||
             (health_ != nullptr && (health_->queue_latched(obs_lane_) ||
                                     health_->restart_pressure()))) {
-          trip_breaker(queue_.size() > cfg.breaker_queue_depth
+          trip_breaker(queue_size_ > cfg.breaker_queue_depth
                            ? "queue depth"
                            : "health watchdog latched");
           return shed_result(role, pid, cfg.breaker_cooldown);
@@ -395,7 +399,7 @@ std::optional<EnrollResult> ScriptInstance::shed_check(const RoleId& role,
     }
   }
   const std::size_t cap = spec_.budget().max_queue_depth;
-  if (cap != 0 && queue_.size() > cap) {
+  if (cap != 0 && queue_size_ > cap) {
     switch (cfg.overflow) {
       case OverflowPolicy::Block:
         break;  // classic unbounded behavior: queue and wait
@@ -423,8 +427,8 @@ EnrollResult ScriptInstance::shed_result(const RoleId& role, ProcessId pid,
 }
 
 void ScriptInstance::shed_oldest() {
-  SCRIPT_ASSERT(!queue_.empty(), "shed_oldest on an empty queue");
-  Request* victim = queue_.front();
+  SCRIPT_ASSERT(queue_head_ != nullptr, "shed_oldest on an empty queue");
+  Request* victim = queue_head_;
   dequeue(*victim);
   victim->shed = true;
   // The victim's own wait loop exits on `shed` and reports the refusal
@@ -454,7 +458,7 @@ EnrollResult ScriptInstance::run_admitted(Request& req, Params& params) {
   // Admitted: this fiber now IS the role (logical continuation).
   SCRIPT_ASSERT(req.perf != nullptr, "admitted without a performance");
   Performance& perf = *req.perf;
-  publish(obs::EventKind::SpanBegin, req.pid, "role", req.assigned.str(),
+  publish(obs::EventKind::SpanBegin, req.pid, "role", &req.assigned, "",
           static_cast<double>(perf.number));
   emit(ScriptEvent::Kind::RoleBegan, req.pid, req.assigned, perf.number);
   Params* effective = &params;
@@ -492,7 +496,7 @@ EnrollResult ScriptInstance::run_admitted(Request& req, Params& params) {
       sched.set_tick_budget(req.pid, sched.now() + budget.max_virtual_ticks,
                             budget.max_virtual_ticks);
     try {
-      bodies_.at(req.assigned.name)(ctx);
+      bodies_[req.decl](ctx);
     } catch (const PerformanceAborted&) {
       unwound = true;  // a partner crashed; this role survives, undone
     } catch (...) {
@@ -500,23 +504,21 @@ EnrollResult ScriptInstance::run_admitted(Request& req, Params& params) {
       // or the body itself threw: the role will never finish. The
       // scheduler's crash hook does the failure bookkeeping after the
       // fiber has fully unwound.
-      publish(obs::EventKind::SpanEnd, req.pid, "role",
-              req.assigned.str() + " (crashed)",
-              static_cast<double>(perf.number));
+      publish(obs::EventKind::SpanEnd, req.pid, "role", &req.assigned,
+              " (crashed)", static_cast<double>(perf.number));
       throw;
     }
   }
   if (unwound) {
-    publish(obs::EventKind::SpanEnd, req.pid, "role",
-            req.assigned.str() + " (aborted)",
-            static_cast<double>(perf.number));
+    publish(obs::EventKind::SpanEnd, req.pid, "role", &req.assigned,
+            " (aborted)", static_cast<double>(perf.number));
     mark_role_unwound(perf, req.assigned);
   } else {
-    publish(obs::EventKind::SpanEnd, req.pid, "role", req.assigned.str(),
+    publish(obs::EventKind::SpanEnd, req.pid, "role", &req.assigned, "",
             static_cast<double>(perf.number));
     emit(ScriptEvent::Kind::RoleFinished, req.pid, req.assigned,
          perf.number);
-    role_done(req.assigned);
+    role_done(req.slot);
   }
 
   if (spec_.termination() == Termination::Delayed) {
@@ -525,13 +527,56 @@ EnrollResult ScriptInstance::run_admitted(Request& req, Params& params) {
       sched.block({"delayed termination of ", name_});
     }
   }
-  publish(obs::EventKind::Instant, req.pid, "release", "",
+  publish(obs::EventKind::Instant, req.pid, "release", nullptr, "",
           static_cast<double>(perf.number));
   emit(ScriptEvent::Kind::Released, req.pid, req.assigned, perf.number);
   EnrollResult result{perf.number, req.assigned, unwound || perf.aborted};
   result.resumed = req.resumed;
   if (result.aborted) result.retry_after = 1;  // next generation can form
   return result;
+}
+
+ScriptInstance::Performance& ScriptInstance::begin_performance() {
+  Performance* p = nullptr;
+  if (free_.empty()) {
+    pool_.push_back(std::make_unique<Performance>());
+    p = pool_.back().get();
+  } else {
+    p = free_.back();
+    free_.pop_back();
+  }
+  p->number = next_perf_number_++;
+  p->started_at = sched_->now();
+  p->done = false;
+  p->critical_hit = false;
+  p->aborted = false;
+  p->state.reset(spec_);
+  p->awaiting_takeover.clear();
+  p->params_store.clear();
+  p->incarnations.clear();
+  p->holders = 1;  // the instance's own, until finish_performance
+  active_ = p;
+  return *p;
+}
+
+void ScriptInstance::release(Performance& perf) {
+  SCRIPT_ASSERT(perf.holders > 0, "performance released too often");
+  if (--perf.holders > 0) return;
+  SCRIPT_ASSERT(perf.done, "live performance lost its last holder");
+  free_.push_back(&perf);
+}
+
+void ScriptInstance::admit(Request& r, Performance& perf, std::size_t slot) {
+  r.admitted = true;
+  r.slot = slot;
+  r.assigned = perf.state.role_at(slot);
+  r.perf = &perf;
+  ++perf.holders;
+}
+
+void ScriptInstance::mark_unbound_out(Performance& perf) {
+  for (std::size_t s = 0; s < spec_.slot_count(); ++s)
+    if (perf.state.slot(s).pid == kNoProcess) perf.state.slot(s).flags |= kOut;
 }
 
 void ScriptInstance::try_advance() {
@@ -548,16 +593,13 @@ void ScriptInstance::try_advance() {
     return;
   }
 
-  if (queue_.empty()) return;
+  if (queue_size_ == 0) return;
 
   if (spec_.initiation() == Initiation::Immediate) {
-    active_ = std::make_unique<Performance>();
-    active_->number = next_perf_number_++;
-    active_->started_at = sched_->now();
-    publish(obs::EventKind::SpanBegin, kNoProcess, "performance", "",
-            static_cast<double>(active_->number));
-    emit(ScriptEvent::Kind::PerformanceBegan, kNoProcess, RoleId(),
-         active_->number);
+    const Performance& p = begin_performance();
+    publish(obs::EventKind::SpanBegin, kNoProcess, "performance", nullptr, "",
+            static_cast<double>(p.number));
+    emit(ScriptEvent::Kind::PerformanceBegan, kNoProcess, RoleId(), p.number);
     admission_pass();
     after_state_change();
     return;
@@ -574,51 +616,48 @@ void ScriptInstance::try_advance() {
     ++matcher_index_hits_;
     return;
   }
-  std::vector<Request*> order(queue_.begin(), queue_.end());
+  order_.clear();
+  for (Request* r = queue_head_; r != nullptr; r = r->next)
+    order_.push_back(r);
   if (nondet) {
     // Shuffle BEFORE gating so the seeded rng stream is identical
     // whether or not the gate fires (replay stability).
-    scheduler().rng().shuffle(order);
+    scheduler().rng().shuffle(order_);
     if (!queued_covers_critical()) {
       ++matcher_index_hits_;
       return;
     }
   }
   ++matcher_runs_;
-  std::vector<RequestView> views;
-  views.reserve(order.size());
-  for (const Request* r : order)
-    views.push_back(RequestView{r->pid, r->requested, r->partners});
-  auto formed = detail::form_delayed(spec_, views);
-  if (!formed) return;
-
-  active_ = std::make_unique<Performance>();
-  active_->number = next_perf_number_++;
-  active_->started_at = sched_->now();
-  active_->state = std::move(formed->state);
-  // Delayed initiation freezes the cast: unfilled roles are out.
-  for (const RoleId& r : spec_.fixed_roles())
-    if (!active_->state.is_bound(r)) active_->out.insert(r);
-  active_->critical_hit = true;
-  publish(obs::EventKind::SpanBegin, kNoProcess, "performance", "",
-          static_cast<double>(active_->number));
-  emit(ScriptEvent::Kind::PerformanceBegan, kNoProcess, RoleId(),
-       active_->number);
-
-  // Mark the admitted requests (formed->admitted indexes `views`, which
-  // parallels `order`) and release their fibers.
-  std::vector<Request*> admitted;
-  for (const auto& [qi, concrete] : formed->admitted) {
-    Request* r = order[qi];
-    r->admitted = true;
-    r->assigned = concrete;
-    r->perf = active_.get();
-    admitted.push_back(r);
-    publish(obs::EventKind::Instant, r->pid, "enroll.ok", concrete.str(),
-            static_cast<double>(active_->number));
-    emit(ScriptEvent::Kind::Enrolled, r->pid, concrete, active_->number);
+  views_.resize(order_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    views_[i].pid = order_[i]->pid;
+    views_[i].requested = order_[i]->requested;
+    views_[i].partners = order_[i]->partners;
   }
-  for (Request* r : admitted) {
+  if (!detail::form_delayed(spec_, views_, form_)) return;
+
+  Performance& p = begin_performance();
+  std::swap(p.state, form_.state);  // both keep their capacity
+  // Delayed initiation freezes the cast: unfilled roles are out.
+  mark_unbound_out(p);
+  p.critical_hit = true;
+  publish(obs::EventKind::SpanBegin, kNoProcess, "performance", nullptr, "",
+          static_cast<double>(p.number));
+  emit(ScriptEvent::Kind::PerformanceBegan, kNoProcess, RoleId(), p.number);
+
+  // Mark the admitted requests (form_.admitted indexes `views_`, which
+  // parallels `order_`) and release their fibers.
+  admitted_.clear();
+  for (const auto& [qi, slot] : form_.admitted) {
+    Request* r = order_[qi];
+    admit(*r, p, slot);
+    admitted_.push_back(r);
+    publish(obs::EventKind::Instant, r->pid, "enroll.ok", &r->assigned, "",
+            static_cast<double>(p.number));
+    emit(ScriptEvent::Kind::Enrolled, r->pid, r->assigned, p.number);
+  }
+  for (Request* r : admitted_) {
     dequeue(*r);
     if (scheduler().state_of(r->pid) == runtime::FiberState::Blocked)
       scheduler().unblock(r->pid);
@@ -641,37 +680,40 @@ void ScriptInstance::admission_pass() {
   // Under nondeterministic contention the pass order is shuffled
   // (seeded), so competing requests for one role win randomly — the
   // paper's §II choice rule.
-  std::vector<Request*> order(queue_.begin(), queue_.end());
+  order_.clear();
+  for (Request* r = queue_head_; r != nullptr; r = r->next)
+    order_.push_back(r);
   if (nondet) {
     // Shuffle before gating: keeps the rng stream identical either way.
-    scheduler().rng().shuffle(order);
+    scheduler().rng().shuffle(order_);
     if (!admission_possible()) {
       ++matcher_index_hits_;
       return;
     }
   }
   ++matcher_runs_;
-  std::vector<Request*> admitted;
-  for (Request* r : order) {
-    const RequestView view{r->pid, r->requested, r->partners};
-    if (auto concrete =
-            detail::try_admit(spec_, active_->state, active_->out, view)) {
-      r->admitted = true;
-      r->assigned = *concrete;
-      r->perf = active_.get();
-      admitted.push_back(r);
-      publish(obs::EventKind::Instant, r->pid, "enroll.ok",
-              concrete->str(), static_cast<double>(active_->number));
-      emit(ScriptEvent::Kind::Enrolled, r->pid, *concrete,
-           active_->number);
-    }
+  Performance& p = *active_;
+  admitted_.clear();
+  views_.resize(1);  // one reused view: its RoleId keeps its capacity
+  RequestView& view = views_[0];
+  for (Request* r : order_) {
+    view.pid = r->pid;
+    view.requested = r->requested;
+    view.partners = r->partners;
+    const std::size_t slot = detail::try_admit(spec_, p.state, view);
+    if (slot == kNoSlot) continue;
+    admit(*r, p, slot);
+    admitted_.push_back(r);
+    publish(obs::EventKind::Instant, r->pid, "enroll.ok", &r->assigned, "",
+            static_cast<double>(p.number));
+    emit(ScriptEvent::Kind::Enrolled, r->pid, r->assigned, p.number);
   }
-  for (Request* r : admitted) {
+  for (Request* r : admitted_) {
     dequeue(*r);
     if (scheduler().state_of(r->pid) == runtime::FiberState::Blocked)
       scheduler().unblock(r->pid);
   }
-  if (!admitted.empty()) notify_state_change();
+  if (!admitted_.empty()) notify_state_change();
 }
 
 void ScriptInstance::after_state_change() {
@@ -682,8 +724,7 @@ void ScriptInstance::after_state_change() {
     active_->critical_hit = true;
     // "Once the critical set is filled, all unfilled roles have
     // r.terminated set to true."
-    for (const RoleId& r : spec_.fixed_roles())
-      if (!active_->state.is_bound(r)) active_->out.insert(r);
+    mark_unbound_out(*active_);
     notify_state_change();
   }
 
@@ -692,10 +733,12 @@ void ScriptInstance::after_state_change() {
 
 bool ScriptInstance::performance_can_end() const {
   const Performance& p = *active_;
-  if (p.state.bindings.empty()) return false;
+  if (p.state.binding_count() == 0) return false;
   if (!p.critical_hit) return false;  // more roles must still arrive
-  for (const auto& [r, pid] : p.state.bindings)
-    if (!p.completed.count(r) && !p.failed.count(r)) return false;
+  for (std::size_t s = 0; s < p.state.slot_count(); ++s) {
+    const detail::RoleSlot& slot = p.state.slot(s);
+    if (slot.pid != kNoProcess && (slot.flags & kFinished) == 0) return false;
+  }
   // All bound roles completed (or failed — a crashed role can never
   // finish) and all fixed unbound roles are out (implied by
   // critical_hit); open families may have stragglers, who will go to
@@ -713,30 +756,30 @@ void ScriptInstance::finish_performance() {
     ++completed_perfs_;
     breaker_note_progress();  // a completed performance is real progress
   }
-  publish(obs::EventKind::SpanEnd, kNoProcess, "performance",
+  publish(obs::EventKind::SpanEnd, kNoProcess, "performance", nullptr,
           p.aborted ? "(aborted)" : "", static_cast<double>(p.number));
   emit(ScriptEvent::Kind::PerformanceEnded, kNoProcess, RoleId(), p.number);
   // Free delayed-termination holdees. A holdee that crashed while
   // parked here is Done, not Blocked — skip it.
-  std::vector<ProcessId> holdees;
-  holdees.swap(end_waiters_);
-  for (const ProcessId pid : holdees)
+  wake_scratch_.swap(end_waiters_);
+  for (const ProcessId pid : wake_scratch_)
     if (scheduler().state_of(pid) == runtime::FiberState::Blocked)
       scheduler().unblock(pid);
+  wake_scratch_.clear();
   notify_state_change();
-  // The Performance object must outlive returning enrollees; they hold
-  // pointers to it. Detach it; the last reference dies with their
-  // frames (we keep it alive via shared ownership below).
-  finished_.push_back(std::move(active_));
-  active_.reset();
+  // Returning enrollees still hold the record (their Requests); it goes
+  // back to the pool when the last of them lets go.
+  active_ = nullptr;
+  release(p);
   try_advance();
 }
 
-void ScriptInstance::role_done(const RoleId& r) {
-  SCRIPT_ASSERT(active_ != nullptr && active_->state.is_bound(r),
-                "role_done for unbound role " + r.str());
-  const ProcessId pid = active_->state.bindings.find(r)->second;
-  active_->completed.insert(r);
+void ScriptInstance::role_done(std::size_t slot) {
+  SCRIPT_ASSERT(active_ != nullptr &&
+                    active_->state.slot(slot).pid != kNoProcess,
+                "role_done for an unbound role");
+  const ProcessId pid = active_->state.slot(slot).pid;
+  active_->state.slot(slot).flags |= kCompleted;
   if (spec_.failure_policy() == FailurePolicy::Replace) {
     // A replacement incarnation may have re-posted an exchange this role
     // already concluded with its predecessor; the done role will never
@@ -750,20 +793,18 @@ void ScriptInstance::role_done(const RoleId& r) {
 
 void ScriptInstance::on_process_crashed(ProcessId pid) {
   if (active_ == nullptr || active_->done) return;
-  const auto it = active_->find_role(pid);
-  if (it == active_->state.bindings.end()) return;
-  const RoleId r = it->first;
-  if (active_->completed.count(r) || active_->failed.count(r)) return;
-  handle_role_crash(*active_, r, pid);
+  const std::size_t s = active_->find_role(pid);
+  if (s == kNoSlot || (active_->state.slot(s).flags & kFinished) != 0) return;
+  handle_role_crash(*active_, active_->state.role_at(s), pid);
 }
 
 void ScriptInstance::handle_role_crash(Performance& perf, const RoleId& r,
                                        ProcessId pid) {
   const bool takeover = spec_.failure_policy() == FailurePolicy::Replace &&
                         spec_.takeover_allowed(r) && !perf.aborted &&
-                        &perf == active_.get();
-  if (!takeover) perf.failed.insert(r);
-  publish(obs::EventKind::Instant, pid, "role.crashed", r.str(),
+                        &perf == active_;
+  if (!takeover) perf.set(r, kFailed);
+  publish(obs::EventKind::Instant, pid, "role.crashed", &r, "",
           static_cast<double>(perf.number));
   emit(ScriptEvent::Kind::RoleCrashed, pid, r, perf.number);
   if (takeover) {
@@ -779,7 +820,7 @@ void ScriptInstance::handle_role_crash(Performance& perf, const RoleId& r,
   if (!perf.aborted && effective == FailurePolicy::Abort)
     abort_performance(perf);
   notify_state_change();
-  if (&perf == active_.get()) after_state_change();
+  if (&perf == active_) after_state_change();
 }
 
 void ScriptInstance::abort_performance(Performance& perf) {
@@ -789,11 +830,10 @@ void ScriptInstance::abort_performance(Performance& perf) {
   if (!perf.critical_hit) {
     // The cast will never complete: stop waiting for more enrollees.
     perf.critical_hit = true;
-    for (const RoleId& r : spec_.fixed_roles())
-      if (!perf.state.is_bound(r)) perf.out.insert(r);
+    mark_unbound_out(perf);
   }
-  publish(obs::EventKind::Instant, kNoProcess, "performance.abort", "",
-          static_cast<double>(perf.number));
+  publish(obs::EventKind::Instant, kNoProcess, "performance.abort", nullptr,
+          "", static_cast<double>(perf.number));
   emit(ScriptEvent::Kind::PerformanceAborted, kNoProcess, RoleId(),
        perf.number);
   // Survivors parked in a rendezvous of THIS performance wake with a
@@ -803,10 +843,10 @@ void ScriptInstance::abort_performance(Performance& perf) {
 }
 
 void ScriptInstance::mark_role_unwound(Performance& perf, const RoleId& r) {
-  if (perf.done || perf.completed.count(r) || perf.failed.count(r)) return;
-  perf.failed.insert(r);
+  if (perf.done || perf.has(r, kFinished)) return;
+  perf.set(r, kFailed);
   notify_state_change();
-  if (&perf == active_.get()) after_state_change();
+  if (&perf == active_) after_state_change();
 }
 
 // ---- Role takeover (FailurePolicy::Replace) ----
@@ -819,16 +859,23 @@ void ScriptInstance::begin_takeover(Performance& perf, const RoleId& r,
   // the stored values survive for the replacement, the writers must not.
   const auto stored = perf.params_store.find(r);
   if (stored != perf.params_store.end()) stored->second.drop_writers();
-  publish(obs::EventKind::Instant, pid, "takeover.begin", r.str(),
+  publish(obs::EventKind::Instant, pid, "takeover.begin", &r, "",
           static_cast<double>(perf.number));
   publish_recovery("takeover.begin", pid,
                    name_ + " " + r.str() + " deadline=" +
                        std::to_string(deadline));
   emit(ScriptEvent::Kind::TakeoverBegan, pid, r, perf.number);
   // A deadline watcher keeps virtual time moving even when every
-  // survivor is parked on the awaiting role, and bounds the window.
-  Performance* p = &perf;  // stable: performances live in unique_ptrs
+  // survivor is parked on the awaiting role, and bounds the window. It
+  // holds the performance until it returns.
+  Performance* p = &perf;  // stable: records live in unique_ptrs
+  ++perf.holders;
   sched_->spawn(name_ + ".takeover." + r.str(), [this, p, r] {
+    struct Hold {
+      ScriptInstance* inst;
+      Performance* perf;
+      ~Hold() { inst->release(*perf); }
+    } hold{this, p};
     for (;;) {
       if (p->done) return;
       const auto it = p->awaiting_takeover.find(r);
@@ -851,15 +898,15 @@ void ScriptInstance::begin_takeover(Performance& perf, const RoleId& r,
 void ScriptInstance::takeover_pass() {
   if (active_ == nullptr || active_->done || active_->aborted) return;
   Performance& perf = *active_;
-  if (perf.awaiting_takeover.empty() || queue_.empty()) return;
+  if (perf.awaiting_takeover.empty() || queue_size_ == 0) return;
   std::vector<RoleId> waiting;
   waiting.reserve(perf.awaiting_takeover.size());
   for (const auto& [r, st] : perf.awaiting_takeover) waiting.push_back(r);
   std::vector<Request*> admitted;
   for (const RoleId& r : waiting) {
-    if (queued_by_role_.find(r.name) == queued_by_role_.end()) continue;
+    if (queued_by_role_[spec_.decl_index(r.name)] == 0) continue;
     // First compatible queued request takes over (FIFO — deterministic).
-    for (Request* q : queue_) {
+    for (Request* q = queue_head_; q != nullptr; q = q->next) {
       if (q->admitted) continue;  // claimed by an earlier role this pass
       if (!takeover_compatible(perf, r, *q)) continue;
       complete_takeover(perf, r, *q);
@@ -891,10 +938,9 @@ bool ScriptInstance::takeover_compatible(const Performance& perf,
   if (req.partners != nullptr) {
     for (const auto& [role_id, pids] : req.partners->constraints()) {
       if (role_id == r) continue;
-      const auto b = perf.state.bindings.find(role_id);
-      if (b == perf.state.bindings.end()) continue;  // unbound: vacuous
-      if (std::find(pids.begin(), pids.end(), b->second) == pids.end())
-        return false;
+      const ProcessId b = perf.state.bound_to(role_id);
+      if (b == kNoProcess) continue;  // unbound: vacuous
+      if (std::find(pids.begin(), pids.end(), b) == pids.end()) return false;
     }
   }
   return true;
@@ -908,13 +954,13 @@ void ScriptInstance::complete_takeover(Performance& perf, const RoleId& r,
   const ProcessId old_pid = it->second.old_pid;
   const ProcessId watcher = it->second.watcher;
   perf.awaiting_takeover.erase(it);
-  // Rebind IN PLACE: the monotone match-state counters (bound_by_name,
-  // critical fills) describe the role, not the process, and stay valid.
-  perf.state.bindings[r] = req.pid;
-  req.admitted = true;
+  // Rebind IN PLACE: the monotone match-state counters (bound per
+  // role, critical fills) describe the role, not the process, and stay
+  // valid.
+  const std::size_t slot = perf.state.find_slot(r);
+  perf.state.rebind(slot, req.pid);
+  admit(req, perf, slot);
   req.resumed = true;
-  req.assigned = r;
-  req.perf = &perf;
   ++takeovers_completed_;
   ++perf.incarnations[r];
   // Survivors parked in a rendezvous addressed at the dead process are
@@ -922,7 +968,7 @@ void ScriptInstance::complete_takeover(Performance& perf, const RoleId& r,
   net_->rebind_peer(old_pid, req.pid,
                     name_ + "#" + std::to_string(perf.number) + "/");
   sched_->causal_edge(old_pid, req.pid, "takeover");
-  publish(obs::EventKind::Instant, req.pid, "takeover.complete", r.str(),
+  publish(obs::EventKind::Instant, req.pid, "takeover.complete", &r, "",
           static_cast<double>(perf.number));
   publish_recovery("takeover.complete", req.pid,
                    name_ + " " + r.str() + " from " +
@@ -938,16 +984,16 @@ void ScriptInstance::takeover_timeout(Performance& perf, const RoleId& r) {
   if (it == perf.awaiting_takeover.end() || perf.done) return;
   const ProcessId old_pid = it->second.old_pid;
   perf.awaiting_takeover.erase(it);
-  perf.failed.insert(r);
+  perf.set(r, kFailed);
   ++takeovers_failed_;
-  publish(obs::EventKind::Instant, old_pid, "takeover.timeout", r.str(),
+  publish(obs::EventKind::Instant, old_pid, "takeover.timeout", &r, "",
           static_cast<double>(perf.number));
   publish_recovery("takeover.timeout", old_pid, name_ + " " + r.str());
   emit(ScriptEvent::Kind::TakeoverFailed, old_pid, r, perf.number);
   if (!perf.aborted && spec_.takeover_fallback() == FailurePolicy::Abort)
     abort_performance(perf);
   notify_state_change();
-  if (&perf == active_.get()) after_state_change();
+  if (&perf == active_) after_state_change();
 }
 
 void ScriptInstance::cancel_takeovers(Performance& perf) {
@@ -957,7 +1003,7 @@ void ScriptInstance::cancel_takeovers(Performance& perf) {
     const ProcessId old_pid = it->second.old_pid;
     const ProcessId watcher = it->second.watcher;
     perf.awaiting_takeover.erase(it);
-    perf.failed.insert(r);
+    perf.set(r, kFailed);
     ++takeovers_failed_;
     emit(ScriptEvent::Kind::TakeoverFailed, old_pid, r, perf.number);
     if (watcher != kNoProcess &&
@@ -999,11 +1045,12 @@ void ScriptInstance::wait_state_change(runtime::BlockReason why) {
 }
 
 void ScriptInstance::notify_state_change() {
-  std::vector<ProcessId> waiters;
-  waiters.swap(state_waiters_);
-  for (const ProcessId pid : waiters)
+  if (state_waiters_.empty()) return;
+  wake_scratch_.swap(state_waiters_);  // both keep their capacity
+  for (const ProcessId pid : wake_scratch_)
     if (scheduler().state_of(pid) == runtime::FiberState::Blocked)
       scheduler().unblock(pid);
+  wake_scratch_.clear();
 }
 
 std::int32_t ScriptInstance::obs_lane() {
@@ -1019,10 +1066,12 @@ std::int32_t ScriptInstance::obs_lane() {
 }
 
 void ScriptInstance::publish(obs::EventKind kind, ProcessId pid,
-                             const char* name, std::string detail,
-                             double value) {
+                             const char* name, const RoleId* role,
+                             const char* suffix, double value) {
   obs::EventBus& bus = scheduler().bus();
-  if (!bus.wants(obs::Subsystem::Script)) return;  // bridge keeps it hot
+  if (!bus.wants(obs::Subsystem::Script)) return;
+  std::string detail = role != nullptr ? role->str() : std::string();
+  detail += suffix;
   bus.publish({kind, obs::Subsystem::Script, obs::kAutoTime,
                static_cast<obs::Pid>(pid), obs_lane(), name,
                std::move(detail), value});
@@ -1035,11 +1084,24 @@ void ScriptInstance::emit(ScriptEvent::Kind kind, ProcessId pid,
   for (const auto& fn : observers_) fn(event);
 }
 
-std::map<RoleId, ProcessId>::const_iterator
-ScriptInstance::Performance::find_role(ProcessId pid) const {
-  for (auto it = state.bindings.begin(); it != state.bindings.end(); ++it)
-    if (it->second == pid) return it;
-  return state.bindings.end();
+bool ScriptInstance::Performance::has(const RoleId& r,
+                                      std::uint8_t flags) const {
+  const std::size_t s = state.find_slot(r);
+  return s != kNoSlot && (state.slot(s).flags & flags) != 0;
+}
+
+void ScriptInstance::Performance::set(const RoleId& r, detail::RoleFlag flag) {
+  const std::size_t s = state.find_slot(r);
+  SCRIPT_ASSERT(s != kNoSlot, "role " + r.str() + " has no slot");
+  state.slot(s).flags |= flag;
+}
+
+std::size_t ScriptInstance::Performance::find_role(ProcessId pid) const {
+  std::size_t found = kNoSlot;
+  state.for_each_slot([&](std::size_t s) {
+    if (found == kNoSlot && state.slot(s).pid == pid) found = s;
+  });
+  return found;
 }
 
 // ---- RoleContext ----
@@ -1047,13 +1109,11 @@ ScriptInstance::Performance::find_role(ProcessId pid) const {
 std::uint64_t RoleContext::performance() const { return perf_->number; }
 
 bool RoleContext::terminated(const RoleId& r) const {
-  if (perf_->completed.count(r)) return true;
-  if (perf_->failed.count(r)) return true;
-  return perf_->out.count(r) > 0;
+  return perf_->has(r, kTerminated);
 }
 
 bool RoleContext::failed(const RoleId& r) const {
-  return perf_->failed.count(r) > 0;
+  return perf_->has(r, kFailed);
 }
 
 void RoleContext::check_abort() const {
@@ -1067,8 +1127,7 @@ bool RoleContext::filled(const RoleId& r) const {
 std::size_t RoleContext::family_size(const std::string& role_name) const {
   const RoleDecl& d = inst_->spec_.decl(role_name);
   if (!d.open_ended) return d.count;
-  const auto it = perf_->state.open_sizes.find(role_name);
-  return it == perf_->state.open_sizes.end() ? 0 : it->second;
+  return perf_->state.open_size(role_name);
 }
 
 void RoleContext::deadline(std::uint64_t ticks) {
@@ -1101,18 +1160,21 @@ RoleResult<ProcessId> RoleContext::await_role(const RoleId& r) {
                 "communication names invalid role " + r.str());
   for (;;) {
     check_abort();
-    if (perf_->completed.count(r) || perf_->out.count(r) ||
-        perf_->failed.count(r))
+    // Re-resolved every round: open-family slots may be added meanwhile.
+    const std::size_t s = perf_->state.find_slot(r);
+    const detail::RoleSlot* slot =
+        s == kNoSlot ? nullptr : &perf_->state.slot(s);
+    if (slot != nullptr && (slot->flags & kTerminated) != 0)
       return support::make_unexpected(RoleCommError::Unavailable);
-    if (perf_->awaiting_takeover.count(r)) {
+    if (!perf_->awaiting_takeover.empty() &&
+        perf_->awaiting_takeover.count(r)) {
       // Bound to a dead process until a replacement rebinds it; park
       // rather than hand out the stale pid.
       inst_->wait_state_change({"role ", self_.str(), " awaiting takeover of ",
                                 r.str(), " in ", inst_->name_});
       continue;
     }
-    const auto it = perf_->state.bindings.find(r);
-    if (it != perf_->state.bindings.end()) return it->second;
+    if (slot != nullptr && slot->pid != kNoProcess) return slot->pid;
     if (perf_->done)
       return support::make_unexpected(RoleCommError::Unavailable);
     inst_->wait_state_change({"role ", self_.str(), " awaiting partner ",
@@ -1125,9 +1187,7 @@ bool RoleContext::await_takeover(const RoleId& r) {
     // "Gone for good" outranks the abort: when the fallback policy voids
     // the performance, the caller still learns the takeover failed and
     // can clean up; the abort surfaces at its next communication.
-    if (perf_->completed.count(r) || perf_->out.count(r) ||
-        perf_->failed.count(r))
-      return false;
+    if (perf_->has(r, kTerminated)) return false;
     check_abort();
     if (!perf_->awaiting_takeover.count(r)) return true;
     inst_->wait_state_change({"role ", self_.str(), " awaiting takeover of ",
@@ -1135,17 +1195,45 @@ bool RoleContext::await_takeover(const RoleId& r) {
   }
 }
 
-std::string RoleContext::scoped_tag(const RoleId& to,
-                                    const std::string& tag) const {
-  return inst_->name_ + "#" + std::to_string(perf_->number) + "/" +
-         to.str() + "/" + tag;
+RoleContext::ScopedTag::ScopedTag(std::string_view instance,
+                                  std::uint64_t performance,
+                                  const RoleId& role, std::string_view tag) {
+  char num[24];
+  append(instance);
+  append("#");
+  append({num, static_cast<std::size_t>(
+                   std::to_chars(num, num + sizeof num, performance).ptr -
+                   num)});
+  append("/");
+  append(role.name);
+  if (role.index == kAnyIndex) {
+    append("[*]");
+  } else if (role.index != kSingleton) {
+    append("[");
+    append({num, static_cast<std::size_t>(
+                     std::to_chars(num, num + sizeof num, role.index).ptr -
+                     num)});
+    append("]");
+  }
+  append("/");
+  append(tag);
+}
+
+void RoleContext::ScopedTag::append(std::string_view piece) {
+  if (piece.empty()) return;  // a default tag has no data() to copy
+  if (spilled_.empty() && len_ + piece.size() <= sizeof buf_) {
+    std::memcpy(buf_ + len_, piece.data(), piece.size());
+    len_ += piece.size();
+    return;
+  }
+  if (spilled_.empty()) spilled_.assign(buf_, len_);
+  spilled_ += piece;
 }
 
 RoleId RoleContext::role_of(ProcessId pid) const {
-  const auto it = perf_->find_role(pid);
-  SCRIPT_ASSERT(it != perf_->state.bindings.end(),
-                "message from a process playing no role");
-  return it->first;
+  const std::size_t s = perf_->find_role(pid);
+  SCRIPT_ASSERT(s != kNoSlot, "message from a process playing no role");
+  return perf_->state.role_at(s);
 }
 
 }  // namespace script::core

@@ -20,11 +20,10 @@
 #pragma once
 
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -170,8 +169,12 @@ class ScriptInstance {
   const std::string& instance_name() const { return name_; }
   std::uint64_t performances_completed() const { return completed_perfs_; }
   std::uint64_t performances_aborted() const { return aborted_perfs_; }
+  /// Performance records this instance owns, active or pooled. A
+  /// finished performance is recycled once its last holder lets go, so
+  /// this stays constant however many performances run.
+  std::size_t performance_objects() const { return pool_.size(); }
   /// Requests waiting for a future performance.
-  std::size_t queue_length() const { return queue_.size(); }
+  std::size_t queue_length() const { return queue_size_; }
   /// How often the per-role waiter index let the instance skip the
   /// matcher outright (formation impossible / no admission capacity).
   std::uint64_t matcher_index_hits() const { return matcher_index_hits_; }
@@ -230,14 +233,17 @@ class ScriptInstance {
     ProcessId watcher = kNoProcess;   // deadline-watcher fiber, once parked
   };
 
+  /// One performance. Pooled: who holds one is counted in `holders` —
+  /// the instance while it is active, each enrollee it admitted until
+  /// that enrollee leaves enroll(), and each takeover deadline watcher.
+  /// When the count drops to zero the record returns to the pool.
   struct Performance {
     std::uint64_t number = 0;
     std::uint64_t started_at = 0;  // virtual time of formation
     bool done = false;
+    /// Bindings, naming constraints and the per-role out / completed /
+    /// failed flags (detail::RoleFlag), one slot per concrete role.
     detail::MatchState state;
-    std::set<RoleId> out;        // declared never-filled
-    std::set<RoleId> completed;  // role bodies that returned
-    std::set<RoleId> failed;     // roles whose process crashed / unwound
     bool critical_hit = false;   // outs have been marked
     bool aborted = false;        // a crash voided this performance
     /// Replace policy: crashed roles whose takeover window is open.
@@ -252,27 +258,61 @@ class ScriptInstance {
     /// (absent = 0, the original cast). Partners compare this across
     /// an exchange to learn they now face a different incarnation.
     std::map<RoleId, std::uint64_t> incarnations;
-    std::map<RoleId, ProcessId>::const_iterator find_role(ProcessId) const;
+    std::size_t holders = 0;
+
+    /// Does role `r` carry any of the RoleFlag bits in `flags`?
+    bool has(const RoleId& r, std::uint8_t flags) const;
+    void set(const RoleId& r, detail::RoleFlag flag);
+    /// Slot of the first role (RoleId order) `pid` plays, or kNoSlot.
+    std::size_t find_role(ProcessId pid) const;
   };
 
+  /// One enrollment in progress. Lives on the enroller's stack and is
+  /// linked into the waiter queue while it waits.
   struct Request {
+    explicit Request(ScriptInstance& i) : inst(&i) {}
+    Request(const Request&) = delete;
+    Request& operator=(const Request&) = delete;
+    /// Leaving enroll() — returning or unwinding — lets go of the
+    /// performance the request was admitted into.
+    ~Request() {
+      if (perf != nullptr) inst->release(*perf);
+    }
+
+    ScriptInstance* inst;
     ProcessId pid = kNoProcess;
     RoleId requested;
+    std::size_t decl = kNoSlot;  // declaration of the requested role
     const PartnerSpec* partners = nullptr;
     bool admitted = false;
     RoleId assigned;
-    Performance* perf = nullptr;  // set at admission
+    std::size_t slot = kNoSlot;   // slot of `assigned`, set at admission
+    Performance* perf = nullptr;  // set at admission; holds it
     bool queued = false;
     bool resumed = false;  // admitted as a takeover replacement
     bool shed = false;     // evicted by ShedOldest; wait loops must exit
-    std::list<Request*>::iterator queue_pos;  // valid while queued
+    Request* prev = nullptr;  // waiter-queue links, valid while queued
+    Request* next = nullptr;
   };
 
-  /// Append to the waiter queue (FIFO) and the per-role-name index.
+  /// Assert the enrollment is well-formed, fill `req`, queue it, and run
+  /// the admission gate; returns the refusal when it is shed (already
+  /// dequeued). `event` names the attempt on the bus.
+  std::optional<EnrollResult> open_request(Request& req, const RoleId& role,
+                                           const PartnerSpec& partners,
+                                           const char* event);
+  /// Append to the waiter queue (FIFO) and the per-role index.
   void enqueue(Request& req);
-  /// O(1) removal via the request's stored queue position. Safe to call
-  /// on an already-dequeued request (withdraw paths can race admission).
+  /// O(1) unlink. Safe to call on an already-dequeued request (withdraw
+  /// paths can race admission).
   void dequeue(Request& req);
+  /// Admit `r` into `perf` as slot `slot`: the request now holds it.
+  void admit(Request& r, Performance& perf, std::size_t slot);
+  /// Take a performance record from the pool (or make one), number it
+  /// and make it the active one.
+  Performance& begin_performance();
+  /// Drop one hold on `perf`; the last one returns it to the pool.
+  void release(Performance& perf);
   /// Necessary condition for delayed formation: SOME critical set has,
   /// per role name, enough queued requests. O(critical sets) from the
   /// waiter index — no queue scan, no matcher call.
@@ -306,7 +346,10 @@ class ScriptInstance {
   void after_state_change();
   bool performance_can_end() const;
   void finish_performance();
-  void role_done(const RoleId& r);
+  void role_done(std::size_t slot);
+  /// Every fixed role not yet bound is out (critical set filled, cast
+  /// frozen, or the performance aborted).
+  void mark_unbound_out(Performance& perf);
 
   // ---- Failure semantics (docs/ROBUSTNESS.md) ----
   /// Scheduler crash hook: a process died; if it plays a live role of
@@ -352,10 +395,13 @@ class ScriptInstance {
   void wait_state_change(runtime::BlockReason why);
   void notify_state_change();
 
-  /// Publish a Script-subsystem event on the scheduler's bus. The prose
-  /// TraceLog wording is reconstructed by obs::install_script_log_bridge.
+  /// Publish a Script-subsystem event on the scheduler's bus; its
+  /// detail is `role` (if any) followed by `suffix`, built only when
+  /// something listens. The prose TraceLog wording is reconstructed by
+  /// obs::install_script_log_bridge once Scheduler::enable_trace_log()
+  /// installs it.
   void publish(obs::EventKind kind, ProcessId pid, const char* name,
-               std::string detail, double value = 0);
+               const RoleId* role, const char* suffix = "", double value = 0);
   void emit(ScriptEvent::Kind kind, ProcessId pid, const RoleId& role,
             std::uint64_t performance);
 
@@ -363,19 +409,25 @@ class ScriptInstance {
   runtime::Scheduler* sched_;  // == net_->scheduler(); see scheduler()
   ScriptSpec spec_;
   std::string name_;
-  std::map<std::string, RoleBody> bodies_;
-  // Requests live on enrollers' stacks; a list gives O(1) withdrawal
-  // via the iterator stored in each Request while keeping FIFO order.
-  std::list<Request*> queue_;
-  /// Waiter index: queued requests per role name (families counted
-  /// under their family name). The formation/admission gates read this.
-  std::map<std::string, std::size_t> queued_by_role_;
+  std::vector<RoleBody> bodies_;  // by declaration index
+  // Requests live on enrollers' stacks, linked in FIFO order through
+  // their own prev/next fields: O(1) withdrawal, no allocation.
+  Request* queue_head_ = nullptr;
+  Request* queue_tail_ = nullptr;
+  std::size_t queue_size_ = 0;
+  /// Waiter index: queued requests per declaration (families counted
+  /// under their family). The formation/admission gates read this.
+  std::vector<std::size_t> queued_by_role_;
   std::uint64_t matcher_index_hits_ = 0;
   std::uint64_t matcher_runs_ = 0;
-  std::unique_ptr<Performance> active_;
-  // Finished performances are kept: returning enrollees and contexts
-  // still reference them (cheap — bookkeeping only, no payloads).
-  std::vector<std::unique_ptr<Performance>> finished_;
+  Performance* active_ = nullptr;
+  std::vector<std::unique_ptr<Performance>> pool_;  // every record made
+  std::vector<Performance*> free_;                  // released records
+  // Formation and admission scratch; keeps its capacity.
+  std::vector<Request*> order_;
+  std::vector<Request*> admitted_;
+  std::vector<detail::RequestView> views_;
+  detail::FormResult form_;
   std::uint64_t next_perf_number_ = 1;
   std::uint64_t completed_perfs_ = 0;
   std::uint64_t aborted_perfs_ = 0;
@@ -390,6 +442,7 @@ class ScriptInstance {
   std::uint64_t shed_count_ = 0;
   std::vector<ProcessId> end_waiters_;    // delayed-termination holdees
   std::vector<ProcessId> state_waiters_;  // fibers awaiting state changes
+  std::vector<ProcessId> wake_scratch_;   // waiters being woken
   std::vector<std::function<void(const ScriptEvent&)>> observers_;
   std::int32_t obs_lane_ = obs::kNoLane;
   obs::HealthMonitor* health_ = nullptr;
@@ -473,12 +526,12 @@ class RoleContext {
 
   // ---- Role-addressed communication ----
   template <typename T>
-  RoleResult<void> send(const RoleId& to, T value,
-                        const std::string& tag = "") {
+  RoleResult<void> send(const RoleId& to, T value, std::string_view tag = {}) {
     check_abort();
     auto pid = await_role(to);
     if (!pid) return support::make_unexpected(pid.error());
-    auto r = inst_->net_->send(*pid, scoped_tag(to, tag), std::move(value));
+    auto r = inst_->net_->send(*pid, scoped_tag(to, tag).view(),
+                               std::move(value));
     if (!r) {
       check_abort();  // woken by abort_performance's fail_tagged
       return support::make_unexpected(RoleCommError::Unavailable);
@@ -487,11 +540,11 @@ class RoleContext {
   }
 
   template <typename T>
-  RoleResult<T> recv(const RoleId& from, const std::string& tag = "") {
+  RoleResult<T> recv(const RoleId& from, std::string_view tag = {}) {
     check_abort();
     auto pid = await_role(from);
     if (!pid) return support::make_unexpected(pid.error());
-    auto r = inst_->net_->recv<T>(*pid, scoped_tag(self_, tag));
+    auto r = inst_->net_->recv<T>(*pid, scoped_tag(self_, tag).view());
     if (!r) {
       check_abort();
       return support::make_unexpected(RoleCommError::Unavailable);
@@ -502,9 +555,9 @@ class RoleContext {
   /// Receive from whichever partner role sends first (host-language
   /// anonymous communication, as in the paper's Ada embedding).
   template <typename T>
-  RoleResult<std::pair<RoleId, T>> recv_any(const std::string& tag = "") {
+  RoleResult<std::pair<RoleId, T>> recv_any(std::string_view tag = {}) {
     check_abort();
-    auto r = inst_->net_->recv_any<T>(scoped_tag(self_, tag));
+    auto r = inst_->net_->recv_any<T>(scoped_tag(self_, tag).view());
     if (!r) {
       check_abort();
       return support::make_unexpected(RoleCommError::Unavailable);
@@ -521,14 +574,14 @@ class RoleContext {
   /// that binds later is only noticed on the next call.
   template <typename T>
   RoleResult<std::pair<RoleId, T>> recv_from_roles(
-      const std::vector<RoleId>& froms, const std::string& tag = "") {
+      const std::vector<RoleId>& froms, std::string_view tag = {}) {
     for (;;) {
       check_abort();
       std::vector<ProcessId> candidates;
       bool might_bind = false;
       for (const RoleId& r : froms) {
-        if (perf_->completed.count(r) || perf_->out.count(r) ||
-            perf_->failed.count(r))
+        if (perf_->has(r, detail::kCompleted | detail::kOut |
+                              detail::kFailed))
           continue;
         if (perf_->awaiting_takeover.count(r)) {
           // Bound to a dead pid until a replacement rebinds it — treat
@@ -536,9 +589,9 @@ class RoleContext {
           might_bind = true;
           continue;
         }
-        const auto it = perf_->state.bindings.find(r);
-        if (it != perf_->state.bindings.end())
-          candidates.push_back(it->second);
+        const ProcessId bound = perf_->state.bound_to(r);
+        if (bound != kNoProcess)
+          candidates.push_back(bound);
         else if (!perf_->done)
           might_bind = true;
       }
@@ -550,7 +603,7 @@ class RoleContext {
         continue;
       }
       auto r = inst_->net_->recv_from<T>(std::move(candidates),
-                                         scoped_tag(self_, tag));
+                                         scoped_tag(self_, tag).view());
       if (!r) {
         check_abort();
         return support::make_unexpected(RoleCommError::Unavailable);
@@ -561,10 +614,9 @@ class RoleContext {
 
   /// Non-blocking poll for a message from any partner role.
   template <typename T>
-  std::optional<std::pair<RoleId, T>> try_recv_any(
-      const std::string& tag = "") {
+  std::optional<std::pair<RoleId, T>> try_recv_any(std::string_view tag = {}) {
     check_abort();
-    auto r = inst_->net_->try_recv_any<T>(scoped_tag(self_, tag));
+    auto r = inst_->net_->try_recv_any<T>(scoped_tag(self_, tag).view());
     if (!r) return std::nullopt;
     return std::pair<RoleId, T>{role_of(r->first), std::move(r->second)};
   }
@@ -588,7 +640,27 @@ class RoleContext {
   RoleResult<ProcessId> await_role(const RoleId& r);
   /// Unwind this role body if the performance has been aborted.
   void check_abort() const;
-  std::string scoped_tag(const RoleId& to, const std::string& tag) const;
+
+  /// "<instance>#<performance>/<role>/<tag>": the namespace that keeps
+  /// distinct performances from ever exchanging messages. Built in
+  /// place; only unusually long names spill to the heap.
+  class ScopedTag {
+   public:
+    ScopedTag(std::string_view instance, std::uint64_t performance,
+              const RoleId& role, std::string_view tag);
+    std::string_view view() const {
+      return spilled_.empty() ? std::string_view(buf_, len_) : spilled_;
+    }
+
+   private:
+    void append(std::string_view piece);
+    char buf_[64];
+    std::size_t len_ = 0;
+    std::string spilled_;
+  };
+  ScopedTag scoped_tag(const RoleId& to, std::string_view tag) const {
+    return ScopedTag(inst_->name_, perf_->number, to, tag);
+  }
   RoleId role_of(ProcessId pid) const;
 
   ScriptInstance* inst_;

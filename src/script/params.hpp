@@ -9,51 +9,68 @@
 //               enrolling process's own fiber, out-parameters write
 //               straight through to the enroller's variable
 //               (call-by-reference, as in the paper's CSP translation).
+//
+// Values live in csp::Message (small values inline) and writers are
+// plain function pointers, so the first kInline parameters of an
+// enrollment cost no heap allocation.
 #pragma once
 
-#include <any>
-#include <functional>
-#include <map>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "csp/message.hpp"
 #include "support/panic.hpp"
 
 namespace script::core {
 
 class Params {
  public:
+  /// Parameters stored inside the Params object itself; more spill to
+  /// the heap.
+  static constexpr std::size_t kInline = 2;
+
+  Params() {}  // user-provided: `const Params p;` must stay legal
+  Params(const Params& o) { copy_from(o); }
+  Params(Params&& o) noexcept { move_from(o); }
+  Params& operator=(const Params& o) {
+    if (this != &o) {
+      clear();
+      copy_from(o);
+    }
+    return *this;
+  }
+  Params& operator=(Params&& o) noexcept {
+    if (this != &o) {
+      clear();
+      move_from(o);
+    }
+    return *this;
+  }
+
   /// Supply an in-parameter value.
   template <typename T>
   Params& in(const std::string& name, T value) {
-    SCRIPT_ASSERT(!slots_.count(name), "duplicate parameter " + name);
-    Slot s;
-    s.value = std::move(value);
-    slots_.emplace(name, std::move(s));
+    add(name).value = csp::Message::of<T>(std::move(value));
     return *this;
   }
 
   /// Register an out-parameter: the role body's set() writes to *target.
   template <typename T>
   Params& out(const std::string& name, T* target) {
-    SCRIPT_ASSERT(!slots_.count(name), "duplicate parameter " + name);
-    Slot s;
-    s.writer = [target](const std::any& v) {
-      *target = std::any_cast<T>(v);
-    };
-    slots_.emplace(name, std::move(s));
+    Slot& s = add(name);
+    s.write = &write_through<T>;
+    s.target = target;
     return *this;
   }
 
   /// In-out: supplies a value AND writes the final value back.
   template <typename T>
   Params& inout(const std::string& name, T* target) {
-    SCRIPT_ASSERT(!slots_.count(name), "duplicate parameter " + name);
-    Slot s;
-    s.value = *target;
-    s.writer = [target](const std::any& v) {
-      *target = std::any_cast<T>(v);
-    };
-    slots_.emplace(name, std::move(s));
+    Slot& s = add(name);
+    s.value = csp::Message::of<T>(*target);
+    s.write = &write_through<T>;
+    s.target = target;
     return *this;
   }
 
@@ -62,18 +79,18 @@ class Params {
   template <typename T>
   T get(const std::string& name) const {
     const Slot& s = slot(name);
-    SCRIPT_ASSERT(s.value.has_value(), "parameter " + name + " has no value");
-    return std::any_cast<T>(s.value);
+    SCRIPT_ASSERT(!s.value.empty(), "parameter " + name + " has no value");
+    return s.value.as<T>();
   }
 
   template <typename T>
   void set(const std::string& name, T value) {
     Slot& s = slot(name);
-    s.value = value;  // keep readable (in-out semantics)
-    if (s.writer) s.writer(s.value);
+    s.value = csp::Message::of<T>(std::move(value));  // keep readable
+    if (s.write != nullptr) s.write(s.target, s.value);
   }
 
-  bool has(const std::string& name) const { return slots_.count(name) > 0; }
+  bool has(const std::string& name) const { return find(name) != nullptr; }
 
   // ---- Role takeover support (FailurePolicy::Replace) ----
 
@@ -81,7 +98,7 @@ class Params {
   /// unwound stack frame; the stored copy of its parameters keeps the
   /// VALUES for the replacement but must never write back.
   void drop_writers() {
-    for (auto& [name, s] : slots_) s.writer = nullptr;
+    for (Slot& s : slots()) s.write = nullptr;
   }
 
   /// Copy from `donor` every slot this Params lacks. A replacement
@@ -89,28 +106,92 @@ class Params {
   /// (current values included — set_param updates the stored copy) while
   /// its own slots, writers included, take precedence.
   void adopt_missing(const Params& donor) {
-    for (const auto& [name, s] : donor.slots_)
-      slots_.emplace(name, s);
+    for (const Slot& s : donor.slots())
+      if (find(s.name) == nullptr) add(s.name) = s;
   }
 
  private:
+  using Writer = void (*)(void* target, const csp::Message& value);
+
   struct Slot {
-    std::any value;
-    std::function<void(const std::any&)> writer;
+    std::string name;
+    csp::Message value;
+    Writer write = nullptr;  // out / in-out: copies `value` to *target
+    void* target = nullptr;
   };
 
-  Slot& slot(const std::string& name) {
-    auto it = slots_.find(name);
-    SCRIPT_ASSERT(it != slots_.end(), "unknown parameter " + name);
-    return it->second;
-  }
-  const Slot& slot(const std::string& name) const {
-    auto it = slots_.find(name);
-    SCRIPT_ASSERT(it != slots_.end(), "unknown parameter " + name);
-    return it->second;
+  template <typename T>
+  static void write_through(void* target, const csp::Message& value) {
+    *static_cast<T*>(target) = value.as<T>();
   }
 
-  std::map<std::string, Slot> slots_;
+  std::span<Slot> slots() {
+    return spill_.empty() ? std::span<Slot>(inline_, size_)
+                          : std::span<Slot>(spill_);
+  }
+  std::span<const Slot> slots() const {
+    return spill_.empty() ? std::span<const Slot>(inline_, size_)
+                          : std::span<const Slot>(spill_);
+  }
+
+  const Slot* find(const std::string& name) const {
+    for (const Slot& s : slots())
+      if (s.name == name) return &s;
+    return nullptr;
+  }
+  Slot& slot(const std::string& name) {
+    const Slot* s = find(name);
+    SCRIPT_ASSERT(s != nullptr, "unknown parameter " + name);
+    return *const_cast<Slot*>(s);
+  }
+  const Slot& slot(const std::string& name) const {
+    const Slot* s = find(name);
+    SCRIPT_ASSERT(s != nullptr, "unknown parameter " + name);
+    return *s;
+  }
+
+  /// Append an empty slot named `name`.
+  Slot& add(const std::string& name) {
+    SCRIPT_ASSERT(find(name) == nullptr, "duplicate parameter " + name);
+    if (spill_.empty() && size_ < kInline) {
+      Slot& s = inline_[size_++];
+      s.name = name;
+      return s;
+    }
+    if (spill_.empty()) {  // first spill: the inline slots move out too
+      spill_.reserve(kInline * 2);
+      for (std::size_t i = 0; i < size_; ++i)
+        spill_.push_back(std::move(inline_[i]));
+      clear_inline();
+    }
+    spill_.emplace_back().name = name;
+    return spill_.back();
+  }
+
+  void clear_inline() {
+    for (std::size_t i = 0; i < size_; ++i) inline_[i] = Slot{};
+    size_ = 0;
+  }
+  void clear() {
+    clear_inline();
+    spill_.clear();
+  }
+  void copy_from(const Params& o) {
+    for (std::size_t i = 0; i < o.size_; ++i) inline_[i] = o.inline_[i];
+    size_ = o.size_;
+    spill_ = o.spill_;
+  }
+  void move_from(Params& o) noexcept {
+    for (std::size_t i = 0; i < o.size_; ++i)
+      inline_[i] = std::move(o.inline_[i]);
+    size_ = o.size_;
+    spill_ = std::move(o.spill_);
+    o.clear();
+  }
+
+  Slot inline_[kInline];
+  std::size_t size_ = 0;  // inline slots in use (0 once spilled)
+  std::vector<Slot> spill_;
 };
 
 }  // namespace script::core

@@ -16,26 +16,58 @@
 // performance.
 #pragma once
 
-#include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "script/ids.hpp"
 
 namespace script::core {
 
+/// The processes one naming constraint accepts. The common case — a
+/// single named partner — is stored inline; alternatives use the heap.
+class PidList {
+ public:
+  PidList() = default;
+  explicit PidList(ProcessId one) : one_(one), size_(1) {}
+  explicit PidList(std::vector<ProcessId> many)
+      : many_(std::move(many)), size_(many_.size()) {}
+
+  const ProcessId* begin() const {
+    return size_ == 1 && many_.empty() ? &one_ : many_.data();
+  }
+  const ProcessId* end() const { return begin() + size_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  ProcessId one_ = kNoProcess;
+  std::vector<ProcessId> many_;
+  std::size_t size_ = 0;
+};
+
 class PartnerSpec {
  public:
+  /// `role` must be played by one of `pids`.
+  struct Constraint {
+    RoleId role;
+    PidList pids;
+  };
+
+  /// Constraints stored inside the PartnerSpec itself; more spill to
+  /// the heap.
+  static constexpr std::size_t kInline = 2;
+
   PartnerSpec() = default;
 
   /// Require `r` to be played by exactly `pid`.
   PartnerSpec& with(RoleId r, ProcessId pid) {
-    want_[std::move(r)] = {pid};
+    put(std::move(r), PidList(pid));
     return *this;
   }
 
   /// Require `r` to be played by one of `pids`.
   PartnerSpec& with_any_of(RoleId r, std::vector<ProcessId> pids) {
-    want_[std::move(r)] = std::move(pids);
+    put(std::move(r), PidList(std::move(pids)));
     return *this;
   }
 
@@ -45,17 +77,44 @@ class PartnerSpec {
   PartnerSpec& with_family(const std::string& name,
                            const std::vector<ProcessId>& pids) {
     for (std::size_t i = 0; i < pids.size(); ++i)
-      want_[RoleId(name, static_cast<int>(i))] = {pids[i]};
+      put(RoleId(name, static_cast<int>(i)), PidList(pids[i]));
     return *this;
   }
 
-  bool empty() const { return want_.empty(); }
-  const std::map<RoleId, std::vector<ProcessId>>& constraints() const {
-    return want_;
+  bool empty() const { return constraints().empty(); }
+  /// One entry per constrained role (a later constraint on the same
+  /// role replaces the earlier one), in the order first given.
+  std::span<const Constraint> constraints() const {
+    return spill_.empty() ? std::span<const Constraint>(inline_, size_)
+                          : std::span<const Constraint>(spill_);
   }
 
  private:
-  std::map<RoleId, std::vector<ProcessId>> want_;
+  void put(RoleId r, PidList pids) {
+    std::span<Constraint> all =
+        spill_.empty() ? std::span<Constraint>(inline_, size_)
+                       : std::span<Constraint>(spill_);
+    for (Constraint& c : all) {
+      if (c.role == r) {
+        c.pids = std::move(pids);
+        return;
+      }
+    }
+    if (spill_.empty() && size_ < kInline) {
+      inline_[size_++] = Constraint{std::move(r), std::move(pids)};
+      return;
+    }
+    if (spill_.empty()) {  // first spill: the inline entries move out too
+      for (std::size_t i = 0; i < size_; ++i)
+        spill_.push_back(std::move(inline_[i]));
+      size_ = 0;
+    }
+    spill_.push_back(Constraint{std::move(r), std::move(pids)});
+  }
+
+  Constraint inline_[kInline];
+  std::size_t size_ = 0;  // inline entries in use (0 once spilled)
+  std::vector<Constraint> spill_;
 };
 
 }  // namespace script::core

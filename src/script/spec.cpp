@@ -1,5 +1,7 @@
 #include "script/spec.hpp"
 
+#include <algorithm>
+
 #include "support/panic.hpp"
 
 namespace script::core {
@@ -7,7 +9,7 @@ namespace script::core {
 ScriptSpec& ScriptSpec::role(const std::string& role_name) {
   SCRIPT_ASSERT(!has_role(role_name), "duplicate role " + role_name);
   roles_.push_back(RoleDecl{role_name, 1, false, false, 0});
-  critical_cache_built_ = false;
+  cache_built_ = false;
   return *this;
 }
 
@@ -16,7 +18,7 @@ ScriptSpec& ScriptSpec::role_family(const std::string& role_name,
   SCRIPT_ASSERT(!has_role(role_name), "duplicate role " + role_name);
   SCRIPT_ASSERT(count > 0, "empty role family " + role_name);
   roles_.push_back(RoleDecl{role_name, count, true, false, 0});
-  critical_cache_built_ = false;
+  cache_built_ = false;
   return *this;
 }
 
@@ -24,7 +26,7 @@ ScriptSpec& ScriptSpec::open_role_family(const std::string& role_name,
                                          std::size_t min_count) {
   SCRIPT_ASSERT(!has_role(role_name), "duplicate role " + role_name);
   roles_.push_back(RoleDecl{role_name, 0, true, true, min_count});
-  critical_cache_built_ = false;
+  cache_built_ = false;
   return *this;
 }
 
@@ -103,49 +105,87 @@ ScriptSpec& ScriptSpec::critical(CriticalSet set) {
                   "critical count exceeds family size for " + role_name);
   }
   criticals_.push_back(std::move(set));
-  critical_cache_built_ = false;
+  cache_built_ = false;
   return *this;
 }
 
 bool ScriptSpec::has_role(const std::string& role_name) const {
-  for (const auto& d : roles_)
-    if (d.name == role_name) return true;
-  return false;
+  return decl_index(role_name) != kNoSlot;
+}
+
+std::size_t ScriptSpec::decl_index(std::string_view role_name) const {
+  for (std::size_t i = 0; i < roles_.size(); ++i)
+    if (roles_[i].name == role_name) return i;
+  return kNoSlot;
 }
 
 const RoleDecl& ScriptSpec::decl(const std::string& role_name) const {
-  for (const auto& d : roles_)
-    if (d.name == role_name) return d;
-  SCRIPT_PANIC("unknown role " + role_name + " in script " + name_);
+  const std::size_t i = decl_index(role_name);
+  if (i == kNoSlot)
+    SCRIPT_PANIC("unknown role " + role_name + " in script " + name_);
+  return roles_[i];
 }
 
 bool ScriptSpec::valid(const RoleId& id) const {
-  if (!has_role(id.name)) return false;
-  const RoleDecl& d = decl(id.name);
+  const std::size_t i = decl_index(id.name);
+  if (i == kNoSlot) return false;
+  const RoleDecl& d = roles_[i];
   if (!d.indexed) return id.index == kSingleton;
   if (id.index == kAnyIndex) return true;
   if (id.index < 0) return false;
   return d.open_ended || static_cast<std::size_t>(id.index) < d.count;
 }
 
-std::vector<RoleId> ScriptSpec::fixed_roles() const {
-  std::vector<RoleId> out;
-  for (const auto& d : roles_) {
-    if (d.open_ended) continue;
-    if (!d.indexed) {
-      out.emplace_back(d.name);
-    } else {
-      for (std::size_t i = 0; i < d.count; ++i)
-        out.emplace_back(d.name, static_cast<int>(i));
-    }
-  }
-  return out;
+const std::vector<std::size_t>& ScriptSpec::decls_by_name() const {
+  ensure_cache();
+  return decls_by_name_;
 }
 
-void ScriptSpec::build_critical_cache() const {
+const std::vector<RoleId>& ScriptSpec::fixed_roles() const {
+  ensure_cache();
+  return fixed_roles_;
+}
+
+std::size_t ScriptSpec::first_slot(std::size_t decl) const {
+  ensure_cache();
+  return first_slot_[decl];
+}
+
+std::size_t ScriptSpec::slot_decl(std::size_t slot) const {
+  ensure_cache();
+  return slot_decl_[slot];
+}
+
+void ScriptSpec::build_cache() const {
+  // Numbering: declarations in name order, fixed members consecutive,
+  // so walking slots 0..n visits roles in RoleId order.
+  decls_by_name_.resize(roles_.size());
+  for (std::size_t i = 0; i < roles_.size(); ++i) decls_by_name_[i] = i;
+  std::sort(decls_by_name_.begin(), decls_by_name_.end(),
+            [this](std::size_t a, std::size_t b) {
+              return roles_[a].name < roles_[b].name;
+            });
+  fixed_roles_.clear();
+  slot_decl_.clear();
+  first_slot_.assign(roles_.size(), kNoSlot);
+  for (const std::size_t i : decls_by_name_) {
+    const RoleDecl& d = roles_[i];
+    if (d.open_ended) continue;
+    first_slot_[i] = fixed_roles_.size();
+    if (!d.indexed) {
+      fixed_roles_.emplace_back(d.name);
+      slot_decl_.push_back(i);
+    } else {
+      for (std::size_t k = 0; k < d.count; ++k) {
+        fixed_roles_.emplace_back(d.name, static_cast<int>(k));
+        slot_decl_.push_back(i);
+      }
+    }
+  }
+
   critical_cache_.clear();
-  critical_needs_.clear();
-  critical_set_sizes_.clear();
+  critical_reqs_.clear();
+  critical_needs_.assign(roles_.size(), {});
   if (!criticals_.empty()) {
     critical_cache_ = criticals_;
   } else {
@@ -157,27 +197,32 @@ void ScriptSpec::build_critical_cache() const {
     critical_cache_.push_back(std::move(everything));
   }
   for (std::size_t i = 0; i < critical_cache_.size(); ++i) {
-    critical_set_sizes_.push_back(critical_cache_[i].size());
-    for (const auto& [role_name, needed] : critical_cache_[i])
-      critical_needs_[role_name].push_back(CriticalNeed{i, needed});
+    std::vector<CriticalReq> reqs;
+    for (const auto& [role_name, needed] : critical_cache_[i]) {
+      const std::size_t d = decl_index(role_name);
+      reqs.push_back(CriticalReq{d, needed});
+      critical_needs_[d].push_back(CriticalNeed{i, needed});
+    }
+    critical_reqs_.push_back(std::move(reqs));
   }
-  critical_cache_built_ = true;
+  cache_built_ = true;
 }
 
 const std::vector<CriticalSet>& ScriptSpec::critical_sets() const {
-  if (!critical_cache_built_) build_critical_cache();
+  ensure_cache();
   return critical_cache_;
 }
 
-const std::map<std::string, std::vector<CriticalNeed>>&
-ScriptSpec::critical_needs() const {
-  if (!critical_cache_built_) build_critical_cache();
-  return critical_needs_;
+const std::vector<std::vector<CriticalReq>>& ScriptSpec::critical_reqs()
+    const {
+  ensure_cache();
+  return critical_reqs_;
 }
 
-const std::vector<std::size_t>& ScriptSpec::critical_set_sizes() const {
-  if (!critical_cache_built_) build_critical_cache();
-  return critical_set_sizes_;
+const std::vector<std::vector<CriticalNeed>>& ScriptSpec::critical_needs()
+    const {
+  ensure_cache();
+  return critical_needs_;
 }
 
 }  // namespace script::core

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/health.hpp"
@@ -119,6 +120,16 @@ struct CriticalNeed {
   std::size_t needed = 0;
 };
 
+/// One requirement of a critical set by declaration: "`needed` members
+/// of roles()[decl]".
+struct CriticalReq {
+  std::size_t decl = 0;
+  std::size_t needed = 0;
+};
+
+/// "No such role / slot" for the index-returning queries below.
+inline constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
 class ScriptSpec {
  public:
   explicit ScriptSpec(std::string name) : name_(std::move(name)) {}
@@ -190,28 +201,44 @@ class ScriptSpec {
   /// families accept any index >= 0).
   bool valid(const RoleId& id) const;
 
+  // ---- Role numbering ----
+  // Resolved once (cached, rebuilt after a builder call), so the
+  // instance and the matcher keep per-role state in flat vectors
+  // instead of maps keyed by role names.
+
+  /// Position of the declaration named `role_name` in roles(), or
+  /// kNoSlot.
+  std::size_t decl_index(std::string_view role_name) const;
+  /// Declaration indices sorted by role name: RoleId order.
+  const std::vector<std::size_t>& decls_by_name() const;
+
   /// All concrete roles of the fixed part (families expanded; open
-  /// families contribute no fixed members).
-  std::vector<RoleId> fixed_roles() const;
+  /// families contribute no fixed members), in RoleId order. A role's
+  /// position here is its slot number.
+  const std::vector<RoleId>& fixed_roles() const;
+  std::size_t slot_count() const { return fixed_roles().size(); }
+  /// First slot of fixed declaration `decl` (members are consecutive).
+  std::size_t first_slot(std::size_t decl) const;
+  /// Declaration of each slot.
+  std::size_t slot_decl(std::size_t slot) const;
 
   /// The critical sets in force: the declared ones, or the implicit
   /// "everything" set when none were declared. Cached; the reference
   /// stays valid until the next builder call.
   const std::vector<CriticalSet>& critical_sets() const;
+  /// critical_sets() by declaration index, in the same order.
+  const std::vector<std::vector<CriticalReq>>& critical_reqs() const;
 
-  /// Inverted critical index: role name → the critical sets that
-  /// mention it and how many members each needs. Cached alongside
-  /// critical_sets(); set indices refer into that vector.
-  const std::map<std::string, std::vector<CriticalNeed>>& critical_needs()
-      const;
-
-  /// Number of (role, count) requirements in each critical set, indexed
-  /// like critical_sets(). A set is met once that many of its
-  /// requirements are individually met.
-  const std::vector<std::size_t>& critical_set_sizes() const;
+  /// Inverted critical index: per declaration, the critical sets that
+  /// mention it and how many members each needs. Set indices refer
+  /// into critical_sets().
+  const std::vector<std::vector<CriticalNeed>>& critical_needs() const;
 
  private:
-  void build_critical_cache() const;
+  void build_cache() const;
+  void ensure_cache() const {
+    if (!cache_built_) build_cache();
+  }
 
   std::string name_;
   std::vector<RoleDecl> roles_;
@@ -228,10 +255,14 @@ class ScriptSpec {
   OverloadConfig overload_;
 
   // Lazily built, invalidated by the builder methods above.
-  mutable bool critical_cache_built_ = false;
+  mutable bool cache_built_ = false;
+  mutable std::vector<std::size_t> decls_by_name_;
+  mutable std::vector<RoleId> fixed_roles_;
+  mutable std::vector<std::size_t> first_slot_;  // per decl; kNoSlot if open
+  mutable std::vector<std::size_t> slot_decl_;
   mutable std::vector<CriticalSet> critical_cache_;
-  mutable std::map<std::string, std::vector<CriticalNeed>> critical_needs_;
-  mutable std::vector<std::size_t> critical_set_sizes_;
+  mutable std::vector<std::vector<CriticalReq>> critical_reqs_;
+  mutable std::vector<std::vector<CriticalNeed>> critical_needs_;
 };
 
 }  // namespace script::core

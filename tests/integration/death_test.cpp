@@ -56,6 +56,12 @@ TEST(DeathTest, ParamsUnknownName) {
   EXPECT_DEATH((void)p.get<int>("nope"), "unknown parameter");
 }
 
+TEST(DeathTest, TraceLogReadWithoutOptIn) {
+  // An empty prose log must never pass for a quiet run.
+  Scheduler sched;
+  EXPECT_DEATH((void)sched.trace(), "enable_trace_log");
+}
+
 TEST(DeathTest, EnrollWithoutBody) {
   Scheduler sched;
   Net net(sched);

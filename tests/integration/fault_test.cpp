@@ -96,6 +96,7 @@ TEST(FaultMatrix, BarrierCrashSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(11));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::Barrier barrier(net, 3);
         std::vector<ProcessId> pids;
@@ -115,6 +116,7 @@ TEST(FaultMatrix, BroadcastCrashSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(12));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::StarBroadcast<int> bc(net, 2);
         std::vector<ProcessId> pids;
@@ -136,6 +138,7 @@ TEST(FaultMatrix, AuctionCrashSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(13));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::Auction auction(net, 2);
         std::vector<ProcessId> pids;
@@ -158,6 +161,7 @@ TEST(FaultMatrix, TwoPhaseCommitCrashSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(14));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::TwoPhaseCommit tpc(net, 2);
         std::vector<ProcessId> pids;
@@ -247,6 +251,7 @@ TEST(ReplaceMatrix, BarrierTakeoverSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(21));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::Barrier barrier(net, 3, "barrier",
                                           FailurePolicy::Replace, 64);
@@ -269,6 +274,7 @@ TEST(ReplaceMatrix, BroadcastTakeoverSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(22));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::StarBroadcast<int> bc(
             net, 2, "star", FailurePolicy::Replace, 64);
@@ -296,6 +302,7 @@ TEST(ReplaceMatrix, AuctionTakeoverSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(23));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::Auction auction(net, 2, "auction",
                                           FailurePolicy::Replace, 64);
@@ -323,6 +330,7 @@ TEST(ReplaceMatrix, TwoPhaseCommitTakeoverSweepIsDeterministic) {
   sweep(
       [](std::size_t victim, std::uint64_t step) {
         Scheduler sched(seeded(24));
+        sched.enable_trace_log();
         Net net(sched);
         script::patterns::TwoPhaseCommitOptions opts;
         opts.replace_coordinator = true;
@@ -381,7 +389,9 @@ TEST(ReplaceMatrix, TwoPhaseCommitReplaceSurvivesMidProtocolCrashes) {
           << "victim=" << victim << " step=" << step << "\n"
           << script::runtime::describe(result, sched);
       // Atomicity holds in every cell: surviving participants agree.
-      if (victim != 1 && victim != 2) EXPECT_EQ(p0, p1);
+      if (victim != 1 && victim != 2) {
+        EXPECT_EQ(p0, p1);
+      }
     }
   }
 }

@@ -23,6 +23,7 @@ using script::runtime::Scheduler;
 
 TEST(GoldenTrace, Figure1Timeline) {
   Scheduler sched;
+  sched.enable_trace_log();
   Net net(sched);
   ScriptSpec spec("s");
   spec.role("p").role("q").role("r");
@@ -99,6 +100,7 @@ TEST(GoldenTrace, Figure1KeyOrderings) {
   //   "A finishes its roll as p, but D must still wait because B and C
   //    are not yet finished"
   Scheduler sched;
+  sched.enable_trace_log();
   Net net(sched);
   ScriptSpec spec("s");
   spec.role("p").role("q").role("r");

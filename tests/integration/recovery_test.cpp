@@ -78,6 +78,7 @@ struct TpcRun {
 
 TpcRun run_tpc_with_crash(std::uint64_t crash_step) {
   Scheduler sched(seeded(41));
+  sched.enable_trace_log();
   Net net(sched);
   SimLogStore store;
   TwoPhaseCommitOptions opts;
@@ -140,9 +141,10 @@ TEST(Recovery, SupervisedCoordinatorCrashSweepStaysAtomic) {
     EXPECT_EQ(first.p0, first.p1) << "split decision at step " << step;
     EXPECT_EQ(first.p0, first.coord) << "split decision at step " << step;
     // The WAL is the ground truth the survivors must match.
-    if (!first.wal_decision.empty())
+    if (!first.wal_decision.empty()) {
       EXPECT_EQ(first.coord, first.wal_decision == "commit")
           << "decision diverges from WAL at step " << step;
+    }
     takeovers_total += first.takeovers;
     // In-doubt: the crash hit after begin but before the decision
     // record; the replacement presumed abort despite two YES voters.

@@ -167,6 +167,53 @@ TEST(WireLockdb, SilentClientLeasesAreReaped) {
   for (auto& r : c.reps) EXPECT_EQ(r->data().at("x"), "recovered");
 }
 
+TEST(WireLockdb, PreparedTransactionPinsItsLocksPastTheLease) {
+  // Txn 1 prepares x and votes yes, then its coordinator stalls until
+  // the lock lease has lapsed. Reaping that lock would let txn 2 take
+  // x, prepare and commit beside the undecided txn 1; instead txn 1
+  // keeps x until its decision lands.
+  constexpr std::uint64_t kLease = 100;
+  Cluster c(kLease);
+  std::uint64_t seq = 0;
+  // One raw request to every replica, as a coordinator that stalls
+  // between the phases of 2PC would send it.
+  auto ask_all = [&](const std::string& op, const std::string& args) {
+    std::vector<std::string> replies;
+    for (const PeerId id : {0u, 1u, 2u}) {
+      const std::string rtag = "stalled." + std::to_string(seq++);
+      c.dwire->post(id, "lkreq", op + " " + rtag + " " + args);
+      Wire::Msg m;
+      EXPECT_TRUE(c.dwire->recv(rtag, &m, 300, id)) << op;
+      replies.push_back(m.payload);
+    }
+    return replies;
+  };
+  c.sched.spawn("driver", [&] {
+    ASSERT_TRUE(c.driver->acquire(1, "x", LockMode::Exclusive));
+    for (const std::string& vote : ask_all("prep", "1 x=1"))
+      EXPECT_EQ(vote, "yes");
+    const std::uint64_t prepared_at = c.sched.now();
+    c.sched.sleep_for(2 * kLease);  // txn 1's lease lapses, undecided
+    EXPECT_GT(c.sched.now(), prepared_at + kLease);
+    EXPECT_FALSE(c.driver->acquire(2, "x", LockMode::Exclusive))
+        << "an in-doubt transaction's lock was reaped";
+    for (const std::string& ack : ask_all("dec", "1 commit"))
+      EXPECT_EQ(ack, "ack");
+    // Decided: the lock is free and txn 2 runs after txn 1, not beside.
+    ASSERT_TRUE(c.driver->acquire(2, "x", LockMode::Exclusive));
+    EXPECT_TRUE(c.driver->update(2, {{"x", "2"}}));
+    c.driver->release(2);
+    c.shutdown();
+  });
+  ASSERT_TRUE(c.sched.run().ok());
+  for (auto& r : c.reps) {
+    EXPECT_EQ(r->committed(), 2u);
+    EXPECT_EQ(r->data().at("x"), "2");
+  }
+  // Once decided, the expired grant is reaped like any other.
+  for (auto& t : c.tables) EXPECT_EQ(t->holder_count("x"), 0u);
+}
+
 TEST(WireLockdb, ReplicaDeathDegradesAndRecoveryCatchesUp) {
   Cluster c;
   std::string final_digest;

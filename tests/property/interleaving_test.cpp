@@ -72,6 +72,7 @@ TEST_P(SeededInterleaving, PerformancesNeverOverlap) {
   // Successive-activations invariant, read off the trace: every
   // "performance k begins" must come after "performance k-1 ends".
   auto sched = make_sched(GetParam());
+  sched.enable_trace_log();
   Net net(sched);
   ScriptSpec spec("s");
   spec.role("a").role("b");
@@ -180,6 +181,7 @@ TEST_P(SeededInterleaving, TwoPhaseCommitIsAtomic) {
 TEST_P(SeededInterleaving, SameSeedSameTrace) {
   auto run_once = [&](std::uint64_t seed) {
     auto sched = make_sched(seed);
+    sched.enable_trace_log();
     Net net(sched);
     script::patterns::StarBroadcast<int> bc(net, 4);
     net.spawn_process("T", [&] { bc.send(1); });

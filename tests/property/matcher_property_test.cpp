@@ -76,17 +76,19 @@ class MatcherProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MatcherProperty, FormedAssignmentsAreSoundAndAgreeing) {
   const auto gc = generate(GetParam());
-  const auto result = form_delayed(gc.spec, gc.queue);
-  if (!result) return;  // failing to form is always sound
+  FormResult result;
+  if (!form_delayed(gc.spec, gc.queue, result))
+    return;  // failing to form is always sound
 
-  const MatchState& st = result->state;
+  const MatchState& st = result.state;
+  const auto bindings = st.bindings();
   // 1. Criticality: the formed cast satisfies some critical set.
   EXPECT_TRUE(critical_satisfied(gc.spec, st)) << "seed " << GetParam();
 
   // 2. Soundness of bindings: distinct requests, valid roles, each
   //    bound role traces back to a request that asked for it.
   std::set<ProcessId> used;
-  for (const auto& [r, pid] : st.bindings) {
+  for (const auto& [r, pid] : bindings) {
     EXPECT_TRUE(gc.spec.valid(r)) << r.str();
     EXPECT_TRUE(used.insert(pid).second)
         << "process bound twice, seed " << GetParam();
@@ -99,12 +101,12 @@ TEST_P(MatcherProperty, FormedAssignmentsAreSoundAndAgreeing) {
 
   // 3. Mutual agreement: every admitted member's constraints hold for
   //    every FILLED role they constrain.
-  for (const auto& [r, pid] : st.bindings) {
+  for (const auto& [r, pid] : bindings) {
     const auto& partners = gc.partner_storage[pid];
     for (const auto& [cr, allowed] : partners.constraints()) {
-      const auto bound = st.bindings.find(cr);
-      if (bound == st.bindings.end()) continue;  // unfilled: vacuous
-      EXPECT_NE(std::find(allowed.begin(), allowed.end(), bound->second),
+      const ProcessId bound = st.bound_to(cr);
+      if (bound == script::core::kNoProcess) continue;  // unfilled: vacuous
+      EXPECT_NE(std::find(allowed.begin(), allowed.end(), bound),
                 allowed.end())
           << "constraint violated on " << cr.str() << ", seed "
           << GetParam();
@@ -112,9 +114,9 @@ TEST_P(MatcherProperty, FormedAssignmentsAreSoundAndAgreeing) {
   }
 
   // 4. The admitted list is consistent with the bindings.
-  EXPECT_EQ(result->admitted.size(), st.bindings.size());
-  for (const auto& [qi, r] : result->admitted)
-    EXPECT_EQ(st.bindings.at(r), gc.queue[qi].pid);
+  EXPECT_EQ(result.admitted.size(), st.binding_count());
+  for (const auto& [qi, slot] : result.admitted)
+    EXPECT_EQ(st.slot(slot).pid, gc.queue[qi].pid);
 }
 
 TEST_P(MatcherProperty, IncrementalAdmissionNeverBreaksAgreement) {
@@ -122,17 +124,16 @@ TEST_P(MatcherProperty, IncrementalAdmissionNeverBreaksAgreement) {
   // immediate-initiation path) and check the same invariants.
   const auto gc = generate(GetParam() + 1000);
   MatchState st;
-  std::set<RoleId> no_excluded;
   std::map<ProcessId, const PartnerSpec*> admitted;
   for (const auto& req : gc.queue)
-    if (auto r = try_admit(gc.spec, st, no_excluded, req))
+    if (try_admit(gc.spec, st, req) != script::core::kNoSlot)
       admitted[req.pid] = req.partners;
 
-  for (const auto& [r, pid] : st.bindings) {
+  for (const auto& [r, pid] : st.bindings()) {
     for (const auto& [cr, allowed] : admitted.at(pid)->constraints()) {
-      const auto bound = st.bindings.find(cr);
-      if (bound == st.bindings.end()) continue;
-      EXPECT_NE(std::find(allowed.begin(), allowed.end(), bound->second),
+      const ProcessId bound = st.bound_to(cr);
+      if (bound == script::core::kNoProcess) continue;
+      EXPECT_NE(std::find(allowed.begin(), allowed.end(), bound),
                 allowed.end())
           << "seed " << GetParam();
     }
@@ -154,10 +155,11 @@ TEST_P(MatcherProperty, FormationFindsSolutionsBruteForceFinds) {
     bool ok = true;
     for (std::size_t i = 0; i < n && ok; ++i)
       if (mask & (1u << i))
-        ok = try_admit(gc.spec, st, {}, gc.queue[i]).has_value();
+        ok = try_admit(gc.spec, st, gc.queue[i]) != script::core::kNoSlot;
     brute_found = ok && critical_satisfied(gc.spec, st);
   }
-  const bool formed = form_delayed(gc.spec, gc.queue).has_value();
+  FormResult result;
+  const bool formed = form_delayed(gc.spec, gc.queue, result);
   // Brute force admits subsets in arrival order only, so it can miss
   // order-dependent solutions the DFS finds; but anything brute force
   // finds, the DFS must find.

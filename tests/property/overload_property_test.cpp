@@ -179,7 +179,9 @@ TEST(OverloadProperty, ShedVersusCrashWithReplaceResolvesEverySchedule) {
         for (const auto& b : {out->b1, out->b2, out->b3})
           if (b.has_value() && b->resumed) ++resumed;
         EXPECT_LE(resumed, 1);
-        if (out->completed == 1) EXPECT_EQ(resumed, 1);
+        if (out->completed == 1) {
+          EXPECT_EQ(resumed, 1);
+        }
         // The bounded queue drained and shed at most one head per
         // arrival; nothing leaked or wedged.
         EXPECT_EQ(out->queue_left, 0u);

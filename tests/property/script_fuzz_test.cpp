@@ -61,6 +61,7 @@ TEST_P(ScriptFuzz, TraceInvariantsHoldForRandomPrograms) {
       rng.chance(0.5) ? SchedulePolicy::Fifo : SchedulePolicy::Random;
   opts.seed = GetParam();
   Scheduler sched(opts);
+  sched.enable_trace_log();
   Net net(sched);
   ScriptInstance inst(net, spec);
   for (const auto& rn : role_names)

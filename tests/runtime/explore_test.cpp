@@ -155,6 +155,7 @@ TEST(Explore, SuccessiveActivationInvariantExhaustively) {
   using script::core::Termination;
   const auto stats = explore_interleavings(
       [](Scheduler& sched) {
+        sched.enable_trace_log();
         auto net = std::make_shared<Net>(sched);
         ScriptSpec spec("s");
         spec.role("a").role("b");

@@ -180,6 +180,7 @@ TEST(Scheduler, ExceptionInFiberPropagatesFromRun) {
 
 TEST(Scheduler, TraceEventsStampVirtualTime) {
   Scheduler sched;
+  sched.enable_trace_log();
   sched.spawn("A", [&] {
     sched.trace_event(sched.current(), "starts");
     sched.sleep_for(7);

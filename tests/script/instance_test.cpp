@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -521,6 +524,7 @@ TEST(ScriptInstance, IncompleteCastIsDeadlockReported) {
 
 TEST(ScriptInstance, TraceRecordsEnrollmentLifecycle) {
   Scheduler sched;
+  sched.enable_trace_log();
   Net net(sched);
   ScriptSpec spec = star_spec(1);
   ScriptInstance inst(net, spec);
@@ -558,6 +562,123 @@ TEST(ScriptInstance, FamilySizeProbe) {
                       [&, i] { inst.enroll(role("recipient", i)); });
   ASSERT_TRUE(sched.run().ok());
   EXPECT_EQ(seen, 4u);
+}
+
+TEST(ScriptInstance, PerformanceRecordsArePooled) {
+  // Successive activations (Figure 1) recycle the instance's
+  // performance records: 10k performances hold as many records as the
+  // first one needed.
+  Scheduler sched;
+  Net net(sched);
+  ScriptSpec spec("pair");
+  spec.role("a").role("b");
+  ScriptInstance inst(net, spec);
+  inst.on_role("a", [](RoleContext& ctx) {
+    EXPECT_TRUE(ctx.send(RoleId("b"), ctx.param<int>("v")).has_value());
+  });
+  inst.on_role("b", [](RoleContext& ctx) {
+    const auto v = ctx.recv<int>(RoleId("a"));
+    ASSERT_TRUE(v.has_value());
+    ctx.set_param("v", *v);
+  });
+  constexpr int kPerfs = 10000;
+  std::size_t after_first = 0;
+  int wrong = 0;
+  net.spawn_process("A", [&] {
+    for (int i = 0; i < kPerfs; ++i) {
+      inst.enroll(RoleId("a"), {}, Params().in("v", i));
+      if (i == 0) after_first = inst.performance_objects();
+    }
+  });
+  net.spawn_process("B", [&] {
+    for (int i = 0; i < kPerfs; ++i) {
+      int got = -1;
+      inst.enroll(RoleId("b"), {}, Params().out("v", &got));
+      wrong += got != i ? 1 : 0;
+    }
+  });
+  ASSERT_TRUE(sched.run().ok());
+  EXPECT_EQ(inst.performances_completed(), static_cast<std::uint64_t>(kPerfs));
+  EXPECT_EQ(wrong, 0);
+  EXPECT_GE(after_first, 1u);
+  EXPECT_EQ(inst.performance_objects(), after_first);
+}
+
+TEST(ScriptInstance, PooledRecordsServeImmediateCasts) {
+  // Immediate initiation and termination: enrollees of one performance
+  // leave at different times, and the next performance may form before
+  // the last of them has let go. The record count still stays bounded.
+  Scheduler sched;
+  Net net(sched);
+  ScriptSpec spec("cast");
+  spec.role("sender").role_family("r", 4);
+  spec.initiation(Initiation::Immediate).termination(Termination::Immediate);
+  ScriptInstance inst(net, spec);
+  inst.on_role("sender", [](RoleContext& ctx) {
+    for (int i = 0; i < 4; ++i)
+      EXPECT_TRUE(ctx.send(role("r", i), i).has_value());
+  });
+  inst.on_role("r", [](RoleContext& ctx) {
+    EXPECT_EQ(ctx.recv<int>(RoleId("sender")).value(), ctx.index());
+  });
+  constexpr int kPerfs = 1000;
+  net.spawn_process("S", [&] {
+    for (int i = 0; i < kPerfs; ++i) inst.enroll(RoleId("sender"));
+  });
+  for (int r = 0; r < 4; ++r)
+    net.spawn_process("R" + std::to_string(r), [&] {
+      for (int i = 0; i < kPerfs; ++i) inst.enroll(any_member("r"));
+    });
+  ASSERT_TRUE(sched.run().ok());
+  EXPECT_EQ(inst.performances_completed(), static_cast<std::uint64_t>(kPerfs));
+  EXPECT_LE(inst.performance_objects(), 2u);
+}
+
+/// Clears the variables that arm observability at Scheduler
+/// construction for its lifetime, restoring them afterwards.
+class UnobservedEnv {
+ public:
+  UnobservedEnv() {
+    for (const char* name : kNames) {
+      const char* v = std::getenv(name);
+      saved_.emplace_back(name, v == nullptr ? std::optional<std::string>()
+                                             : std::string(v));
+      unsetenv(name);
+    }
+  }
+  ~UnobservedEnv() {
+    for (const auto& [name, value] : saved_)
+      if (value) setenv(name, value->c_str(), 1);
+  }
+
+ private:
+  static constexpr const char* kNames[] = {"SCRIPT_TRACE", "SCRIPT_FLIGHT",
+                                           "SCRIPT_TIMELINE",
+                                           "SCRIPT_DEBUG_SOCK"};
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
+TEST(ScriptInstance, UnobservedSchedulerPublishesNoScriptEvents) {
+  // The Figure-1 prose log is opt-in: with nothing armed, no subscriber
+  // wants Script events, so a whole performance publishes nothing.
+  const UnobservedEnv quiet;
+  Scheduler sched;
+  Net net(sched);
+  EXPECT_FALSE(sched.trace_log_enabled());
+  EXPECT_FALSE(sched.bus().wants(script::obs::Subsystem::Script));
+  ScriptSpec spec("s");
+  spec.role("a").role("b");
+  ScriptInstance inst(net, spec);
+  inst.on_role("a", [](RoleContext&) {});
+  inst.on_role("b", [](RoleContext&) {});
+  net.spawn_process("A", [&] { inst.enroll(RoleId("a")); });
+  net.spawn_process("B", [&] { inst.enroll(RoleId("b")); });
+  ASSERT_TRUE(sched.run().ok());
+  EXPECT_EQ(inst.performances_completed(), 1u);
+  EXPECT_EQ(sched.bus().published_count(), 0u);
+
+  sched.enable_trace_log();
+  EXPECT_TRUE(sched.bus().wants(script::obs::Subsystem::Script));
 }
 
 }  // namespace

@@ -12,6 +12,22 @@ using script::core::RoleId;
 using script::core::ScriptSpec;
 using namespace script::core::detail;
 
+/// try_admit, reporting the concrete role admitted into (or nullopt).
+std::optional<RoleId> admit(const ScriptSpec& spec, MatchState& st,
+                            const RequestView& req) {
+  const std::size_t slot = try_admit(spec, st, req);
+  if (slot == script::core::kNoSlot) return std::nullopt;
+  return st.role_at(slot);
+}
+
+/// form_delayed into a fresh result (nullopt when no cast forms).
+std::optional<FormResult> form(const ScriptSpec& spec,
+                               const std::vector<RequestView>& queue) {
+  FormResult out;
+  if (!form_delayed(spec, queue, out)) return std::nullopt;
+  return out;
+}
+
 ScriptSpec broadcast_spec() {
   ScriptSpec s("broadcast");
   s.role("transmitter").role_family("recipient", 3);
@@ -21,7 +37,7 @@ ScriptSpec broadcast_spec() {
 TEST(Matching, AdmitUnnamedIntoFreeRole) {
   const auto spec = broadcast_spec();
   MatchState st;
-  const auto r = try_admit(spec, st, {}, {10, RoleId("transmitter"), nullptr});
+  const auto r = admit(spec, st, {10, RoleId("transmitter"), nullptr});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->str(), "transmitter");
   EXPECT_TRUE(st.is_bound(RoleId("transmitter")));
@@ -30,15 +46,15 @@ TEST(Matching, AdmitUnnamedIntoFreeRole) {
 TEST(Matching, RejectSecondProcessForBoundRole) {
   const auto spec = broadcast_spec();
   MatchState st;
-  ASSERT_TRUE(try_admit(spec, st, {}, {10, RoleId("transmitter"), nullptr}));
-  EXPECT_FALSE(try_admit(spec, st, {}, {11, RoleId("transmitter"), nullptr}));
+  ASSERT_TRUE(admit(spec, st, {10, RoleId("transmitter"), nullptr}));
+  EXPECT_FALSE(admit(spec, st, {11, RoleId("transmitter"), nullptr}));
 }
 
 TEST(Matching, AnyIndexTakesLowestFree) {
   const auto spec = broadcast_spec();
   MatchState st;
-  auto a = try_admit(spec, st, {}, {1, any_member("recipient"), nullptr});
-  auto b = try_admit(spec, st, {}, {2, any_member("recipient"), nullptr});
+  auto a = admit(spec, st, {1, any_member("recipient"), nullptr});
+  auto b = admit(spec, st, {2, any_member("recipient"), nullptr});
   ASSERT_TRUE(a && b);
   EXPECT_EQ(a->index, 0);
   EXPECT_EQ(b->index, 1);
@@ -47,8 +63,9 @@ TEST(Matching, AnyIndexTakesLowestFree) {
 TEST(Matching, AnyIndexSkipsExcluded) {
   const auto spec = broadcast_spec();
   MatchState st;
-  std::set<RoleId> excluded{role("recipient", 0)};
-  auto a = try_admit(spec, st, excluded, {1, any_member("recipient"), nullptr});
+  st.reset(spec);
+  st.slot(st.find_slot(role("recipient", 0))).flags |= kOut;
+  auto a = admit(spec, st, {1, any_member("recipient"), nullptr});
   ASSERT_TRUE(a);
   EXPECT_EQ(a->index, 1);
 }
@@ -57,10 +74,9 @@ TEST(Matching, FullFamilyRejectsFurtherAnyIndex) {
   const auto spec = broadcast_spec();
   MatchState st;
   for (int i = 0; i < 3; ++i)
-    ASSERT_TRUE(try_admit(spec, st, {},
-                          {static_cast<script::core::ProcessId>(i),
+    ASSERT_TRUE(admit(spec, st, {static_cast<script::core::ProcessId>(i),
                            any_member("recipient"), nullptr}));
-  EXPECT_FALSE(try_admit(spec, st, {}, {9, any_member("recipient"), nullptr}));
+  EXPECT_FALSE(admit(spec, st, {9, any_member("recipient"), nullptr}));
 }
 
 TEST(Matching, NamedConstraintRestrictsLaterAdmission) {
@@ -68,19 +84,19 @@ TEST(Matching, NamedConstraintRestrictsLaterAdmission) {
   MatchState st;
   PartnerSpec wants;
   wants.with(RoleId("transmitter"), 42);
-  ASSERT_TRUE(try_admit(spec, st, {}, {1, role("recipient", 0), &wants}));
+  ASSERT_TRUE(admit(spec, st, {1, role("recipient", 0), &wants}));
   // Process 7 may not play transmitter: recipient[0] named 42.
-  EXPECT_FALSE(try_admit(spec, st, {}, {7, RoleId("transmitter"), nullptr}));
-  EXPECT_TRUE(try_admit(spec, st, {}, {42, RoleId("transmitter"), nullptr}));
+  EXPECT_FALSE(admit(spec, st, {7, RoleId("transmitter"), nullptr}));
+  EXPECT_TRUE(admit(spec, st, {42, RoleId("transmitter"), nullptr}));
 }
 
 TEST(Matching, RequestContradictingBindingRejected) {
   const auto spec = broadcast_spec();
   MatchState st;
-  ASSERT_TRUE(try_admit(spec, st, {}, {7, RoleId("transmitter"), nullptr}));
+  ASSERT_TRUE(admit(spec, st, {7, RoleId("transmitter"), nullptr}));
   PartnerSpec wants;
   wants.with(RoleId("transmitter"), 42);  // but 7 already has it
-  EXPECT_FALSE(try_admit(spec, st, {}, {1, role("recipient", 0), &wants}));
+  EXPECT_FALSE(admit(spec, st, {1, role("recipient", 0), &wants}));
 }
 
 TEST(Matching, AlternativeNamingAcceptsEitherProcess) {
@@ -89,9 +105,9 @@ TEST(Matching, AlternativeNamingAcceptsEitherProcess) {
   MatchState st;
   PartnerSpec wants;
   wants.with_any_of(RoleId("transmitter"), {40, 41});
-  ASSERT_TRUE(try_admit(spec, st, {}, {1, role("recipient", 0), &wants}));
-  EXPECT_FALSE(try_admit(spec, st, {}, {39, RoleId("transmitter"), nullptr}));
-  EXPECT_TRUE(try_admit(spec, st, {}, {41, RoleId("transmitter"), nullptr}));
+  ASSERT_TRUE(admit(spec, st, {1, role("recipient", 0), &wants}));
+  EXPECT_FALSE(admit(spec, st, {39, RoleId("transmitter"), nullptr}));
+  EXPECT_TRUE(admit(spec, st, {41, RoleId("transmitter"), nullptr}));
 }
 
 TEST(Matching, IntersectionOfTwoMembersConstraints) {
@@ -100,20 +116,19 @@ TEST(Matching, IntersectionOfTwoMembersConstraints) {
   PartnerSpec w1, w2;
   w1.with_any_of(RoleId("transmitter"), {40, 41});
   w2.with_any_of(RoleId("transmitter"), {41, 42});
-  ASSERT_TRUE(try_admit(spec, st, {}, {1, role("recipient", 0), &w1}));
-  ASSERT_TRUE(try_admit(spec, st, {}, {2, role("recipient", 1), &w2}));
-  EXPECT_FALSE(try_admit(spec, st, {}, {40, RoleId("transmitter"), nullptr}));
-  EXPECT_TRUE(try_admit(spec, st, {}, {41, RoleId("transmitter"), nullptr}));
+  ASSERT_TRUE(admit(spec, st, {1, role("recipient", 0), &w1}));
+  ASSERT_TRUE(admit(spec, st, {2, role("recipient", 1), &w2}));
+  EXPECT_FALSE(admit(spec, st, {40, RoleId("transmitter"), nullptr}));
+  EXPECT_TRUE(admit(spec, st, {41, RoleId("transmitter"), nullptr}));
 }
 
 TEST(Matching, CriticalSatisfiedDefaultSet) {
   const auto spec = broadcast_spec();
   MatchState st;
   EXPECT_FALSE(critical_satisfied(spec, st));
-  (void)try_admit(spec, st, {}, {0, RoleId("transmitter"), nullptr});
+  (void)admit(spec, st, {0, RoleId("transmitter"), nullptr});
   for (int i = 0; i < 3; ++i)
-    (void)try_admit(spec, st, {},
-                    {static_cast<script::core::ProcessId>(i + 1),
+    (void)admit(spec, st, {static_cast<script::core::ProcessId>(i + 1),
                      any_member("recipient"), nullptr});
   EXPECT_TRUE(critical_satisfied(spec, st));
 }
@@ -124,10 +139,10 @@ TEST(Matching, CriticalAlternatives) {
   s.critical(CriticalSet{{"manager", 2}, {"reader", 1}});
   s.critical(CriticalSet{{"manager", 2}, {"writer", 1}});
   MatchState st;
-  (void)try_admit(s, st, {}, {1, role("manager", 0), nullptr});
-  (void)try_admit(s, st, {}, {2, role("manager", 1), nullptr});
+  (void)admit(s, st, {1, role("manager", 0), nullptr});
+  (void)admit(s, st, {2, role("manager", 1), nullptr});
   EXPECT_FALSE(critical_satisfied(s, st));
-  (void)try_admit(s, st, {}, {3, RoleId("writer"), nullptr});
+  (void)admit(s, st, {3, RoleId("writer"), nullptr});
   EXPECT_TRUE(critical_satisfied(s, st));
 }
 
@@ -139,7 +154,7 @@ TEST(Matching, FormDelayedSimple) {
       {12, any_member("recipient"), nullptr},
       {13, any_member("recipient"), nullptr},
   };
-  const auto res = form_delayed(spec, queue);
+  const auto res = form(spec, queue);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->admitted.size(), 4u);
   EXPECT_TRUE(critical_satisfied(spec, res->state));
@@ -151,7 +166,7 @@ TEST(Matching, FormDelayedInsufficientReturnsNothing) {
       {10, RoleId("transmitter"), nullptr},
       {11, any_member("recipient"), nullptr},
   };
-  EXPECT_FALSE(form_delayed(spec, queue).has_value());
+  EXPECT_FALSE(form(spec, queue).has_value());
 }
 
 TEST(Matching, FormDelayedNeedsBacktracking) {
@@ -169,10 +184,10 @@ TEST(Matching, FormDelayedNeedsBacktracking) {
       {B, RoleId("q"), &b_wants},
       {A, RoleId("p"), &a_wants},
   };
-  const auto res = form_delayed(s, queue);
+  const auto res = form(s, queue);
   ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->state.bindings.at(RoleId("p")), A);
-  EXPECT_EQ(res->state.bindings.at(RoleId("q")), B);
+  EXPECT_EQ(res->state.bound_to(RoleId("p")), A);
+  EXPECT_EQ(res->state.bound_to(RoleId("q")), B);
 }
 
 TEST(Matching, FormDelayedPrefersEarlierArrivals) {
@@ -182,9 +197,9 @@ TEST(Matching, FormDelayedPrefersEarlierArrivals) {
       {1, RoleId("p"), nullptr},
       {2, RoleId("p"), nullptr},
   };
-  const auto res = form_delayed(s, queue);
+  const auto res = form(s, queue);
   ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->state.bindings.at(RoleId("p")), 1u);
+  EXPECT_EQ(res->state.bound_to(RoleId("p")), 1u);
 }
 
 TEST(Matching, FormDelayedExtendsBeyondCriticalSet) {
@@ -197,7 +212,7 @@ TEST(Matching, FormDelayedExtendsBeyondCriticalSet) {
       {1, RoleId("manager"), nullptr},
       {2, RoleId("reader"), nullptr},
   };
-  const auto res = form_delayed(s, queue);
+  const auto res = form(s, queue);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->admitted.size(), 2u);
 }
@@ -206,12 +221,12 @@ TEST(Matching, OpenFamilyGrowsOnDemand) {
   ScriptSpec s("s");
   s.open_role_family("worker", 2);
   MatchState st;
-  auto a = try_admit(s, st, {}, {1, any_member("worker"), nullptr});
-  auto b = try_admit(s, st, {}, {2, any_member("worker"), nullptr});
-  auto c = try_admit(s, st, {}, {3, any_member("worker"), nullptr});
+  auto a = admit(s, st, {1, any_member("worker"), nullptr});
+  auto b = admit(s, st, {2, any_member("worker"), nullptr});
+  auto c = admit(s, st, {3, any_member("worker"), nullptr});
   ASSERT_TRUE(a && b && c);
   EXPECT_EQ(c->index, 2);
-  EXPECT_EQ(st.open_sizes.at("worker"), 3u);
+  EXPECT_EQ(st.open_size("worker"), 3u);
   EXPECT_FALSE(critical_satisfied(s, st) == false);  // 3 >= min 2
 }
 
@@ -229,10 +244,10 @@ TEST(Matching, FifoFairnessAcrossCompetingCriticalSets) {
       {2, RoleId("b"), nullptr},
       {3, RoleId("r"), nullptr},
   };
-  const auto res = form_delayed(s, queue);
+  const auto res = form(s, queue);
   ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->state.bindings.at(RoleId("r")), 1u);
-  EXPECT_EQ(res->state.bindings.at(RoleId("b")), 2u);
+  EXPECT_EQ(res->state.bound_to(RoleId("r")), 1u);
+  EXPECT_EQ(res->state.bound_to(RoleId("b")), 2u);
 }
 
 TEST(Matching, FifoFairnessWhenBothSetsFillInOneStep) {
@@ -247,10 +262,10 @@ TEST(Matching, FifoFairnessWhenBothSetsFillInOneStep) {
       {2, RoleId("r"), nullptr},
       {3, RoleId("a"), nullptr},
   };
-  const auto res = form_delayed(s, queue);
+  const auto res = form(s, queue);
   ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->state.bindings.at(RoleId("r")), 1u);
-  EXPECT_EQ(res->state.bindings.at(RoleId("a")), 3u);
+  EXPECT_EQ(res->state.bound_to(RoleId("r")), 1u);
+  EXPECT_EQ(res->state.bound_to(RoleId("a")), 3u);
 }
 
 TEST(Matching, MutualNamingPairsJointly) {
@@ -268,11 +283,11 @@ TEST(Matching, MutualNamingPairsJointly) {
       {Q, role("recipient", 1), &q_wants},
       {R, role("recipient", 2), nullptr},
   };
-  const auto res = form_delayed(spec, queue);
+  const auto res = form(spec, queue);
   ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->state.bindings.at(role("recipient", 0)), P);
-  EXPECT_EQ(res->state.bindings.at(role("recipient", 1)), Q);
-  EXPECT_EQ(res->state.bindings.at(role("recipient", 2)), R);
+  EXPECT_EQ(res->state.bound_to(role("recipient", 0)), P);
+  EXPECT_EQ(res->state.bound_to(role("recipient", 1)), Q);
+  EXPECT_EQ(res->state.bound_to(role("recipient", 2)), R);
 }
 
 }  // namespace

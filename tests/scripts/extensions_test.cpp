@@ -122,6 +122,7 @@ TEST(TryEnroll, RespectsPartnerNamingGuard) {
 
 TEST(EnBloc, WithFamilyPinsEveryIndex) {
   Scheduler sched;
+  sched.enable_trace_log();
   Net net(sched);
   script::patterns::StarBroadcast<int> bc(net, 3);
   std::vector<ProcessId> rx(3);

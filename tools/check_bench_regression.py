@@ -59,6 +59,10 @@ ABS_LIMITS = {
     # anonymous, performs no heap allocation (C7, counting operator new).
     "rendezvous.named.allocs_per_msg": 0.0,
     "rendezvous.any.allocs_per_msg": 0.0,
+    # docs/PERFORMANCE.md: a steady-state enroll -> perform -> release
+    # cycle of a 2-role and of a 64-role script allocates nothing (C7).
+    "script.pair.allocs_per_perf": 0.0,
+    "script.cast64.allocs_per_perf": 0.0,
 }
 
 # Hardware-gated speedup floors (bigger is better, unlike ABS_LIMITS).
