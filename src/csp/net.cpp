@@ -74,18 +74,10 @@ Net::Net(runtime::Scheduler& sched) : sched_(&sched) {
 Net::~Net() { sched_->remove_crash_hook(crash_hook_id_); }
 
 ProcessId Net::spawn_process(std::string name, std::function<void()> body) {
-  return spawn_process_in_group(runtime::kInheritGroup, std::move(name),
-                                std::move(body));
-}
-
-ProcessId Net::spawn_process_in_group(runtime::GroupId gid, std::string name,
-                                      std::function<void()> body) {
-  const auto pid = sched_->spawn_in_group(
-      gid, std::move(name), [this, body = std::move(body)] {
-        body();
-        mark_terminated(sched_->current());
-      });
-  return pid;
+  return sched_->spawn(std::move(name), [this, body = std::move(body)] {
+    body();
+    mark_terminated(sched_->current());
+  });
 }
 
 bool Net::is_terminated(ProcessId pid) const {
@@ -113,18 +105,6 @@ void Net::unlink(PendingOp* op) {
   list_erase<&PendingOp::by_peer>(peer_list(*op), op);
   op->linked = false;
   --pending_count_;
-}
-
-void Net::check_group(ProcessId me) {
-  const runtime::GroupId g = sched_->group_of(me);
-  if (group_.load(std::memory_order_relaxed) == g) return;
-  runtime::GroupId first = runtime::kInheritGroup;
-  if (group_.compare_exchange_strong(first, g, std::memory_order_relaxed))
-    return;
-  SCRIPT_ASSERT(first == g,
-                "csp::Net used from two scheduler groups (" +
-                    std::to_string(first) + " and " + std::to_string(g) +
-                    "): give each group its own Net");
 }
 
 std::vector<PendingOp*> Net::collect(Sweep what, ProcessId peer,
@@ -435,7 +415,6 @@ void Net::find_matches(Dir my_dir, ProcessId me, ProcessId my_peer,
                        const std::vector<ProcessId>& my_peer_set,
                        std::string_view tag, std::type_index type,
                        std::vector<PendingOp*>& out) {
-  check_group(me);
   auto consider = [&](PendingOp* op) {
     if (op->tag == tag &&
         op_matches(*op, my_dir, me, my_peer, my_peer_set, type))

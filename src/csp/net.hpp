@@ -14,7 +14,6 @@
 // topology-shaped cost without a real network.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -253,16 +252,6 @@ class Net {
   /// automatically (even if the body returns early).
   ProcessId spawn_process(std::string name, std::function<void()> body);
 
-  /// Same, but placed in an explicit scheduler group. All communicators
-  /// of one Net must share a group (under the parallel scheduler the
-  /// Net's matching tables are unlocked); this is the placement hook for
-  /// running several independent Nets on different workers. The Net
-  /// records the group of the first process that communicates through
-  /// it and asserts that every later send or receive comes from the
-  /// same group, in both scheduler modes.
-  ProcessId spawn_process_in_group(runtime::GroupId gid, std::string name,
-                                   std::function<void()> body);
-
  private:
   friend class Alternative;
 
@@ -309,9 +298,6 @@ class Net {
                                 ProcessId my_peer,
                                 const std::vector<ProcessId>& my_peer_set,
                                 std::string_view tag, std::type_index type);
-  /// Asserts the one-Net-per-group rule for a communicating process.
-  void check_group(ProcessId me);
-
   /// Park / unpark an offer in the index.
   void link(detail::PendingOp* op);
   void unlink(detail::PendingOp* op);
@@ -349,8 +335,6 @@ class Net {
   std::vector<detail::PendingOp*> matches_;  // pick_match scratch
   std::vector<bool> terminated_;  // indexed by ProcessId
   std::uint64_t rendezvous_count_ = 0;
-  // Group of the first communicator; kInheritGroup until then.
-  std::atomic<runtime::GroupId> group_{runtime::kInheritGroup};
   // In-flight duplicates (FaultPlan::duplicate_message) are the one kind
   // of parked op with no fiber stack to live on; the Net owns them, with
   // the tag they view.

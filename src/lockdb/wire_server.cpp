@@ -21,11 +21,14 @@ std::vector<std::string> tokens(const std::string& s) {
   return out;
 }
 
-/// The whole token as an unsigned decimal, or nullopt. Peer bytes may
-/// say anything: a sign, trailing junk or an out-of-range value must be
-/// refused, not thrown or wrapped.
+/// The whole token as a canonical unsigned decimal, or nullopt. Peer
+/// bytes may say anything: a sign, trailing junk or an out-of-range
+/// value must be refused, not thrown or wrapped. A leading zero on a
+/// multi-digit token is refused too: staged transactions are keyed by
+/// the token, so "01" and "1" must not both name owner 1.
 template <typename T>
 std::optional<T> parse_number(const std::string& s) {
+  if (s.size() > 1 && s[0] == '0') return std::nullopt;
   T v{};
   const char* end = s.data() + s.size();
   const auto [stop, ec] = std::from_chars(s.data(), end, v);

@@ -40,7 +40,6 @@ bool vclock_less(const std::vector<std::uint64_t>& a,
 
 EventBus::SubId EventBus::subscribe(Mask mask, Subscriber fn) {
   SCRIPT_ASSERT(fn != nullptr, "EventBus::subscribe with null subscriber");
-  const auto lk = maybe_lock();
   const SubId id = next_id_++;
   subs_.push_back(std::make_unique<Sub>(Sub{id, mask, std::move(fn), false}));
   recompute_wants();
@@ -48,7 +47,6 @@ EventBus::SubId EventBus::subscribe(Mask mask, Subscriber fn) {
 }
 
 void EventBus::unsubscribe(SubId id) {
-  const auto lk = maybe_lock();
   const auto it = std::find_if(
       subs_.begin(), subs_.end(),
       [id](const std::unique_ptr<Sub>& s) { return s->id == id && !s->dead; });
@@ -73,10 +71,9 @@ void EventBus::compact_subs() {
 }
 
 void EventBus::publish(Event e) {
-  const auto lk = maybe_lock();
   if (e.time == kAutoTime) e.time = clock_ ? clock_() : 0;
   if (stamper_) stamper_(e);
-  published_.fetch_add(1, std::memory_order_relaxed);
+  ++published_;
   const Mask bit = mask_of(e.subsystem);
   // Index loop with a size snapshot: subscribers added during this
   // publish (indexes >= n) first see the next event, and the stable
@@ -96,13 +93,11 @@ void EventBus::publish(Event e) {
 }
 
 std::int32_t EventBus::add_lane(std::string name) {
-  const auto lk = maybe_lock();
   lanes_.push_back(std::move(name));
   return static_cast<std::int32_t>(lanes_.size()) - 1;
 }
 
 const std::string& EventBus::lane_name(std::int32_t lane) const {
-  const auto lk = maybe_lock();
   SCRIPT_ASSERT(lane >= 0 &&
                     static_cast<std::size_t>(lane) < lanes_.size(),
                 "EventBus::lane_name: unknown lane");
@@ -110,7 +105,6 @@ const std::string& EventBus::lane_name(std::int32_t lane) const {
 }
 
 void EventBus::set_history(std::size_t per_fiber) {
-  const auto lk = maybe_lock();
   history_cap_ = per_fiber;
   if (per_fiber == 0) history_.clear();
   recompute_wants();
@@ -125,7 +119,7 @@ void EventBus::recompute_wants() {
   Mask m = history_cap_ != 0 ? kAllSubsystems : 0;
   for (const auto& s : subs_)
     if (!s->dead) m |= s->mask;
-  wants_.store(m, std::memory_order_relaxed);
+  wants_ = m;
 }
 
 }  // namespace script::obs

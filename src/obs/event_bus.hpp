@@ -13,13 +13,11 @@
 //     deadlock reports ("how did this fiber get stuck?").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,26 +63,14 @@ class EventBus {
   void unsubscribe(SubId id);
 
   /// Cheap producer-side gate: is anything listening to `s`?
-  bool wants(Subsystem s) const {
-    return (wants_.load(std::memory_order_relaxed) & mask_of(s)) != 0;
-  }
-  bool enabled() const {
-    return wants_.load(std::memory_order_relaxed) != 0;
-  }
+  bool wants(Subsystem s) const { return (wants_ & mask_of(s)) != 0; }
+  bool enabled() const { return wants_ != 0; }
 
   /// Deliver an event to every matching subscriber (and the history
   /// ring). Stamps `time` via the clock when it is kAutoTime.
   void publish(Event e);
 
-  std::uint64_t published_count() const {
-    return published_.load(std::memory_order_relaxed);
-  }
-
-  /// Serialize publish/subscribe/lane/history behind a recursive mutex
-  /// (recursive because subscribers may publish). The parallel
-  /// scheduler's workers publish concurrently; deterministic mode
-  /// leaves this off and the bus stays lock-free as before.
-  void set_threaded(bool on) { threaded_ = on; }
+  std::uint64_t published_count() const { return published_; }
 
   // ---- Lanes (named non-fiber timelines, e.g. script instances) ----
 
@@ -118,21 +104,13 @@ class EventBus {
 
   void recompute_wants();
   void compact_subs();
-  std::unique_lock<std::recursive_mutex> maybe_lock() const {
-    return threaded_ ? std::unique_lock<std::recursive_mutex>(mu_)
-                     : std::unique_lock<std::recursive_mutex>();
-  }
 
   std::vector<std::unique_ptr<Sub>> subs_;
-  /// Atomic (relaxed) so producers on worker threads can gate event
-  /// construction without the lock; recomputed under it.
-  std::atomic<Mask> wants_{0};
+  Mask wants_ = 0;
   SubId next_id_ = 1;
   int publish_depth_ = 0;
   bool has_dead_ = false;
-  std::atomic<std::uint64_t> published_{0};
-  bool threaded_ = false;
-  mutable std::recursive_mutex mu_;
+  std::uint64_t published_ = 0;
   std::function<std::uint64_t()> clock_;
   std::function<void(Event&)> stamper_;
   std::vector<std::string> lanes_;

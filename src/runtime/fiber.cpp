@@ -2,13 +2,10 @@
 
 #include "runtime/fault.hpp"
 #include "runtime/overload.hpp"
-#include "runtime/sanitizer_fiber.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/panic.hpp"
 
 namespace script::runtime {
-
-Fiber::~Fiber() { sanitizer::tsan_destroy_context(tsan_ctx_); }
 
 Fiber::Fiber(ProcessId id, std::string name, std::function<void()> body,
              Stack stack)

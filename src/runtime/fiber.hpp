@@ -9,7 +9,6 @@
 // right substrate.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -27,29 +26,13 @@ namespace script::runtime {
 using ProcessId = std::uint32_t;
 inline constexpr ProcessId kNoProcess = static_cast<ProcessId>(-1);
 
-/// A scheduling group: the unit of placement and stealing in the
-/// parallel mode (one performance / script instance / csp::Net per
-/// group). The deterministic mode ignores groups entirely, so one
-/// program runs unchanged in both modes.
-using GroupId = std::uint32_t;
-/// "No explicit group": spawn inherits the spawner's group (dynamic
-/// spawn from a fiber) or the default group 0 (spawn from outside).
-inline constexpr GroupId kInheritGroup = static_cast<GroupId>(-1);
-
-namespace parallel_detail {
-struct Group;
-}
-
 /// A block reason as pieces to concatenate ("enrolling in ", name, ...).
 /// The blocking primitives take this so that a park copies the text
 /// into the fiber's own buffer instead of building a heap string.
 using BlockReason = std::initializer_list<std::string_view>;
 
-/// One resumable scheduler-side execution context: the deterministic
-/// scheduler loop owns one, each parallel worker thread owns one. A
-/// fiber switching out returns to the context that dispatched it
-/// (`Fiber::resume_`), which in the parallel mode may be a different
-/// worker every time its group is stolen.
+/// The scheduler loop's execution context: every fiber is dispatched
+/// from it and switches back into it.
 struct ExecContext {
   context::Context ctx;
   // ASan fake-stack handle saved while this context is switched out.
@@ -58,8 +41,6 @@ struct ExecContext {
   // (they never change; the loop that owns the context stays put).
   const void* stack_bottom = nullptr;
   std::size_t stack_size = 0;
-  // TSan context of the owning thread (sanitizer_fiber.hpp).
-  void* tsan_ctx = nullptr;
 };
 
 enum class FiberState : std::uint8_t {
@@ -89,21 +70,14 @@ class Fiber {
   /// StackPool; the scheduler reclaims it after the fiber finishes).
   Fiber(ProcessId id, std::string name, std::function<void()> body,
         Stack stack);
-  /// Releases the TSan fiber context if the scheduler didn't already
-  /// (fibers alive at scheduler teardown).
-  ~Fiber();
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
   ProcessId id() const { return id_; }
   const std::string& name() const { return name_; }
-  /// Relaxed atomic: parallel-mode snapshots (describe, snapshot_json)
-  /// may read a fiber's state cross-thread; all state *transitions* are
-  /// still serialized by the owning group's mutex (or, in deterministic
-  /// mode, by there being one thread).
-  FiberState state() const { return state_.load(std::memory_order_relaxed); }
-  void set_state(FiberState s) { state_.store(s, std::memory_order_relaxed); }
+  FiberState state() const { return state_; }
+  void set_state(FiberState s) { state_ = s; }
 
   /// Why this fiber is blocked — surfaced in deadlock reports.
   const std::string& block_reason() const { return block_reason_; }
@@ -159,7 +133,6 @@ class Fiber {
 
  private:
   friend class Scheduler;
-  friend class ParallelRuntime;
 
   /// First code on the fiber's stack (context::make's entry).
   [[noreturn]] static void entry(void* self);
@@ -176,41 +149,9 @@ class Fiber {
   // ASan fake-stack handle saved while this fiber is switched out
   // (runtime/sanitizer_fiber.hpp); stays null outside sanitized builds.
   void* asan_fake_stack_ = nullptr;
-  // TSan per-fiber context, created lazily at first dispatch in TSan
-  // builds; null otherwise.
-  void* tsan_ctx_ = nullptr;
-  // The execution context (deterministic loop / parallel worker) that
-  // dispatched this fiber; switch_out returns control to it. Set at
-  // every dispatch, so a stolen group's fibers resume the stealing
-  // worker, not the one that parked them.
-  ExecContext* resume_ = nullptr;
-  // Fibers joined on this one; woken when it finishes. (Both modes —
-  // moved here from the scheduler so the parallel mode can guard them
-  // with the owning group's mutex.)
+  // Fibers joined on this one; woken when it finishes.
   std::vector<ProcessId> joiners_;
-  // ---- Parallel-mode placement & park-commit protocol ----
-  // Owning group (parallel_detail::Group), fixed at spawn; null in
-  // deterministic mode. A fiber never migrates between groups.
-  parallel_detail::Group* pgroup_ = nullptr;
-  // Set (under the group mutex) by the parking fiber just before it
-  // switches out; cleared by the worker once the context is fully saved.
-  // A cross-group waker that sees it pending leaves p_wake_pending_
-  // instead of touching the not-yet-saved context.
-  bool p_commit_pending_ = false;
-  // Deferred wake: the fiber was woken while Running or mid-park; the
-  // worker converts it to a real wake at commit time. Handles join's
-  // wake-before-park race.
-  bool p_wake_pending_ = false;
-  // Timer request carried through the park: the worker pushes it on the
-  // global timer heap after the commit, so a timer can never fire for a
-  // fiber whose context is not yet saved.
-  bool p_timer_req_ = false;
-  std::uint64_t p_timer_due_ = 0;
-  // Done-processing completed (joiners drained, stack reclaimed) under
-  // the group mutex. join()'s fast path keys off this, not state_: only
-  // the mutex gives the joiner a happens-before edge with the body.
-  bool retired_ = false;
-  std::atomic<FiberState> state_{FiberState::Ready};
+  FiberState state_ = FiberState::Ready;
   std::string block_reason_;
   std::exception_ptr failure_;
   Scheduler* scheduler_ = nullptr;  // set when first scheduled

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "support/panic.hpp"
@@ -98,39 +97,6 @@ class ReadyQueueT {
   std::vector<Pid> slots_;
   std::size_t head_ = 0;   // first possibly-live slot
   std::size_t count_ = 0;  // live entries (excludes tombstones)
-};
-
-/// StealQueueT — a shard's runnable-group list for the parallel mode.
-/// Two-ended on purpose: the owning worker drains oldest-first
-/// (pop_front, FIFO fairness within a shard), thieves take the NEWEST
-/// entry (steal_back) — the group least likely to be warm in the
-/// owner's cache and, having queued last, likeliest to hold the most
-/// unstarted work. Synchronization is external (the shard mutex);
-/// keeping the container dumb keeps the locking auditable.
-template <typename T>
-class StealQueueT {
- public:
-  bool empty() const { return q_.empty(); }
-  std::size_t size() const { return q_.size(); }
-
-  void push(T v) { q_.push_back(std::move(v)); }
-
-  T pop_front() {
-    SCRIPT_ASSERT(!q_.empty(), "pop_front on empty steal queue");
-    T v = std::move(q_.front());
-    q_.pop_front();
-    return v;
-  }
-
-  T steal_back() {
-    SCRIPT_ASSERT(!q_.empty(), "steal_back on empty steal queue");
-    T v = std::move(q_.back());
-    q_.pop_back();
-    return v;
-  }
-
- private:
-  std::deque<T> q_;
 };
 
 }  // namespace script::runtime

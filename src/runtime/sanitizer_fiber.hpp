@@ -13,13 +13,6 @@
 // ASan's notion of "the current stack" in sync with the scheduler: call
 // start_switch on the outgoing side naming the incoming stack, and
 // finish_switch first thing on the incoming side.
-//
-// TSan has the same problem one level up: its shadow state is keyed by
-// the executing "fiber" context, and context switches (especially the
-// parallel mode's cross-thread group migration) must be announced with
-// __tsan_create_fiber / __tsan_switch_to_fiber so the race detector
-// follows the control transfer and inherits its happens-before edge.
-// The tsan_* helpers below are no-ops outside -fsanitize=thread builds.
 #pragma once
 
 #include <cstddef>
@@ -32,19 +25,8 @@
 #endif
 #endif
 
-#if defined(__SANITIZE_THREAD__)
-#define SCRIPT_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SCRIPT_TSAN_FIBERS 1
-#endif
-#endif
-
 #ifdef SCRIPT_ASAN_FIBERS
 #include <sanitizer/common_interface_defs.h>
-#endif
-#ifdef SCRIPT_TSAN_FIBERS
-#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace script::runtime::sanitizer {
@@ -75,48 +57,6 @@ inline void finish_switch(void* fake_stack_save, const void** bottom_old,
   (void)fake_stack_save;
   (void)bottom_old;
   (void)size_old;
-#endif
-}
-
-/// TSan context for the calling thread's implicit fiber (each worker
-/// thread and the deterministic scheduler loop record theirs once).
-inline void* tsan_current_context() {
-#ifdef SCRIPT_TSAN_FIBERS
-  return __tsan_get_current_fiber();
-#else
-  return nullptr;
-#endif
-}
-
-/// Create a TSan context for a fiber about to run for the first time.
-inline void* tsan_create_context() {
-#ifdef SCRIPT_TSAN_FIBERS
-  return __tsan_create_fiber(0);
-#else
-  return nullptr;
-#endif
-}
-
-/// Retire a finished fiber's TSan context. Must not be the context the
-/// calling thread is currently executing in.
-inline void tsan_destroy_context(void* ctx) {
-#ifdef SCRIPT_TSAN_FIBERS
-  if (ctx != nullptr) __tsan_destroy_fiber(ctx);
-#else
-  (void)ctx;
-#endif
-}
-
-/// Announce the upcoming context switch to `ctx` (call immediately
-/// before).
-/// The default flags publish a happens-before edge from the switching-
-/// out context to the switched-in one — exactly the edge the real
-/// control transfer provides.
-inline void tsan_switch(void* ctx) {
-#ifdef SCRIPT_TSAN_FIBERS
-  if (ctx != nullptr) __tsan_switch_to_fiber(ctx, 0);
-#else
-  (void)ctx;
 #endif
 }
 

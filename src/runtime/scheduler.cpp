@@ -17,7 +17,6 @@
 #include "obs/timeline.hpp"
 #include "obs/trace_export.hpp"
 #include "runtime/debug_endpoint.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/sanitizer_fiber.hpp"
 #include "support/panic.hpp"
 
@@ -81,21 +80,10 @@ std::string describe(const RunResult& result, const Scheduler& sched) {
 
 Scheduler::Scheduler(SchedulerOptions opts)
     : opts_(opts), rng_(opts.seed), stack_pool_(opts.stack_pool_max_idle) {
-  bus_.set_clock([this] { return static_cast<std::uint64_t>(now_); });
+  bus_.set_clock([this] { return now_; });
   if (opts_.event_history != 0) bus_.set_history(opts_.event_history);
-  if (opts_.workers > 0) {
-    // M:N work-stealing backend. Workers publish and recycle stacks
-    // concurrently, so the bus and pool switch to their locked modes.
-    bus_.set_threaded(true);
-    stack_pool_.set_threaded(true);
-    parallel_ = std::make_unique<ParallelRuntime>(
-        *this, opts_.workers,
-        opts_.group_quantum == 0 ? 128 : opts_.group_quantum);
-  }
   if (const char* path = std::getenv("SCRIPT_TRACE");
-      path != nullptr && *path != '\0' && opts_.workers == 0) {
-    // Tracing needs causal tracking, which the parallel mode rejects —
-    // env-armed tracing quietly stays off there.
+      path != nullptr && *path != '\0') {
     enable_tracing();
     trace_path_ = path;
   }
@@ -147,12 +135,12 @@ Scheduler::~Scheduler() {
       std::fprintf(stderr, "SCRIPT_TRACE: could not write %s\n",
                    path.c_str());
   }
-  // Stop the worker threads before anything they might touch goes away.
-  parallel_.reset();
-  // Destroy fibers before implicit member teardown: a fiber body may own
-  // the last reference to an object whose destructor calls back into the
-  // scheduler (csp::Net deregisters its crash hook), and crash_hooks_ —
-  // declared after fibers_ — would otherwise already be gone.
+  // Destroy fibers, in spawn order, before implicit member teardown: a
+  // fiber body may own the last reference to an object whose destructor
+  // calls back into the scheduler (csp::Net deregisters its crash hook),
+  // and crash_hooks_ — declared after fibers_ — would otherwise already
+  // be gone.
+  for (std::unique_ptr<Fiber>& f : fibers_) f.reset();
   fibers_.clear();
 }
 
@@ -239,7 +227,7 @@ obs::Timeline& Scheduler::arm_timeline(obs::TimelineOptions opts) {
     timeline_.reset();
     timeline_env_default_ = false;
     timeline_ = std::make_unique<obs::Timeline>(bus_, std::move(opts));
-    timeline_->set_clock([this] { return static_cast<std::uint64_t>(now_); });
+    timeline_->set_clock([this] { return now_; });
     timeline_->set_lane_namer(
         [this](std::int32_t lane) { return bus_.lane_name(lane); });
     if (health_ != nullptr) health_->set_timeline(timeline_.get());
@@ -312,12 +300,6 @@ void Scheduler::register_debug_handlers() {
         reg.gauge("scheduler.live_fibers", static_cast<double>(live_));
         reg.gauge("scheduler.ready", static_cast<double>(ready_.size()));
         reg.gauge("scheduler.timers", static_cast<double>(timers_.size()));
-        if (parallel_ != nullptr) {
-          reg.gauge("scheduler.workers",
-                    static_cast<double>(parallel_->workers()));
-          reg.gauge("scheduler.steals",
-                    static_cast<double>(parallel_->steals()));
-        }
         auto& served = reg.counter("debug.requests_served");
         if (debug_->requests_served() > served.value())
           served.inc(debug_->requests_served() - served.value());
@@ -349,10 +331,10 @@ void Scheduler::register_debug_handlers() {
 std::string Scheduler::snapshot_json() const {
   obs::json::Writer w;
   w.object();
-  w.key("now").value(static_cast<std::uint64_t>(now_));
-  w.key("steps").value(static_cast<std::uint64_t>(steps_));
+  w.key("now").value(now_);
+  w.key("steps").value(steps_);
   w.key("spawned").value(static_cast<std::uint64_t>(fibers_.size()));
-  w.key("live").value(static_cast<std::uint64_t>(live_));
+  w.key("live").value(live_);
   w.key("ready").value(static_cast<std::uint64_t>(ready_.size()));
   w.key("timers").value(static_cast<std::uint64_t>(timers_.size()));
   w.key("stale_timers").value(static_cast<std::uint64_t>(stale_timers_));
@@ -361,14 +343,9 @@ std::string Scheduler::snapshot_json() const {
   if (deadline_cancels_ != 0)
     w.key("deadline_cancels").value(deadline_cancels_);
   if (budget_cancels_ != 0) w.key("budget_cancels").value(budget_cancels_);
-  if (parallel_ != nullptr) {
-    w.key("workers").value(static_cast<std::uint64_t>(parallel_->workers()));
-    w.key("steals").value(parallel_->steals());
-  }
   w.key("fibers").array();
-  const std::size_t fiber_count = fibers_.size();
-  for (std::size_t i = 0; i < fiber_count; ++i) {
-    const Fiber& f = fibers_[i];
+  for (const std::unique_ptr<Fiber>& fp : fibers_) {
+    const Fiber& f = *fp;
     // Finished fibers say nothing about what the system is doing now —
     // except crashed ones, which are exactly what an inspector wants.
     if (f.state() == FiberState::Done && !f.crashed()) continue;
@@ -398,7 +375,7 @@ std::string Scheduler::snapshot_json() const {
 }
 
 std::size_t Scheduler::attach_inspector(obs::Inspector& inspector) {
-  inspector.set_clock([this] { return static_cast<std::uint64_t>(now_); });
+  inspector.set_clock([this] { return now_; });
   return inspector.attach("scheduler",
                           [this] { return snapshot_json(); });
 }
@@ -417,60 +394,23 @@ bool Scheduler::write_trace(const std::string& path) const {
 }
 
 ProcessId Scheduler::spawn(std::string name, std::function<void()> body) {
-  return spawn_in_group(kInheritGroup, std::move(name), std::move(body));
-}
-
-GroupId Scheduler::new_group() {
-  if (parallel_ != nullptr) return parallel_->new_group();
-  return det_next_group_++;
-}
-
-ProcessId Scheduler::spawn_in_group(GroupId gid, std::string name,
-                                    std::function<void()> body) {
-  if (parallel_ != nullptr)
-    return parallel_->spawn(gid, std::move(name), std::move(body));
   const auto pid = static_cast<ProcessId>(fibers_.size());
-  auto f = std::make_unique<Fiber>(pid, std::move(name), std::move(body),
-                                   stack_pool_.acquire(opts_.stack_bytes));
-  f->scheduler_ = this;
-  fibers_.push(std::move(f));
-  // Deterministic mode records the placement (so group_of answers the
-  // same in both modes) but schedules globally, as it always has.
-  if (gid == kInheritGroup)
-    gid = current_ != kNoProcess ? det_group_of_[current_] : 0;
-  SCRIPT_ASSERT(gid < det_next_group_, "spawn_in_group: unknown group");
-  det_group_of_.push_back(gid);
+  fibers_.push_back(
+      std::make_unique<Fiber>(pid, std::move(name), std::move(body),
+                              stack_pool_.acquire(opts_.stack_bytes)));
+  Fiber& f = *fibers_.back();
+  f.scheduler_ = this;
   ++live_;
-  ready_push(fiber(pid));
+  ready_push(f);
   if (bus_.wants(obs::Subsystem::Scheduler))
     bus_.publish({obs::EventKind::Instant, obs::Subsystem::Scheduler,
-                  obs::kAutoTime, pid, obs::kNoLane, "spawn",
-                  fiber(pid).name()});
+                  obs::kAutoTime, pid, obs::kNoLane, "spawn", f.name()});
   return pid;
 }
 
-GroupId Scheduler::group_of(ProcessId pid) const {
-  if (parallel_ != nullptr) return parallel_->group_of(pid);
-  SCRIPT_ASSERT(pid < det_group_of_.size(), "unknown process id");
-  return det_group_of_[pid];
-}
-
-std::size_t Scheduler::worker_count() const {
-  return parallel_ != nullptr ? parallel_->workers() : 0;
-}
-
-std::uint64_t Scheduler::steal_count() const {
-  return parallel_ != nullptr ? parallel_->steals() : 0;
-}
-
 RunResult Scheduler::run() {
-  if (parallel_ != nullptr) return parallel_->run();
   SCRIPT_ASSERT(!running_, "Scheduler::run is not reentrant");
   running_ = true;
-  // The deterministic loop's TSan identity, for fiber-switch
-  // annotations (no-op outside TSan builds).
-  if (main_exec_.tsan_ctx == nullptr)
-    main_exec_.tsan_ctx = sanitizer::tsan_current_context();
   RunResult result;
   std::uint64_t dispatched = 0;
   service_debug();  // safepoint: catch up with clients before dispatching
@@ -529,8 +469,7 @@ RunResult Scheduler::run() {
     f.set_state(FiberState::Running);
     f.last_progress_ = now_;
     current_ = pid;
-    // The loop is steps_'s only writer: a plain store, not a locked add.
-    steps_ = steps_ + 1;
+    ++steps_;
     ++dispatched;
     if (causal_ != nullptr) causal_->on_dispatch(pid);
     if (bus_.wants(obs::Subsystem::Scheduler))
@@ -557,9 +496,8 @@ RunResult Scheduler::run() {
   result.final_time = now_;
   result.steps = steps_;
   if (result.outcome == RunResult::Outcome::StepLimit) return result;
-  const std::size_t fiber_count = fibers_.size();
-  for (std::size_t i = 0; i < fiber_count; ++i) {
-    const Fiber& f = fibers_[i];
+  for (const std::unique_ptr<Fiber>& fp : fibers_) {
+    const Fiber& f = *fp;
     if (f.state() == FiberState::Blocked)
       result.blocked.emplace_back(f.id(), f.block_reason());
     SCRIPT_ASSERT(f.state() != FiberState::Sleeping,
@@ -582,10 +520,6 @@ RunResult Scheduler::run() {
 
 void Scheduler::yield() {
   Fiber& f = fiber(current());
-  if (parallel_ != nullptr) {
-    parallel_->yield(f);
-    return;
-  }
   f.set_state(FiberState::Ready);
   ready_push(f);
   switch_out(f);
@@ -593,10 +527,6 @@ void Scheduler::yield() {
 
 void Scheduler::block(BlockReason reason, ProcessId waiting_on) {
   Fiber& f = fiber(current());
-  if (parallel_ != nullptr) {
-    parallel_->block(f, reason, waiting_on);
-    return;
-  }
   check_cancel(f);  // blocking primitives are cancellation points
   f.set_state(FiberState::Blocked);
   f.set_block_reason(reason);
@@ -611,10 +541,6 @@ void Scheduler::block(BlockReason reason, ProcessId waiting_on) {
 
 void Scheduler::sleep_for(std::uint64_t ticks) {
   Fiber& f = fiber(current());
-  if (parallel_ != nullptr) {
-    parallel_->sleep_for(f, ticks);
-    return;
-  }
   check_cancel(f);
   if (ticks == 0) {
     yield();
@@ -634,9 +560,6 @@ bool Scheduler::block_with_timeout(BlockReason reason, std::uint64_t ticks,
                                    std::function<void()> on_timeout,
                                    ProcessId waiting_on) {
   Fiber& f = fiber(current());
-  if (parallel_ != nullptr)
-    return parallel_->block_with_timeout(f, reason, ticks,
-                                         std::move(on_timeout), waiting_on);
   if (f.cancel_pending_ != Fiber::PendingCancel::None ||
       now_ >= f.deadline_ || now_ >= f.tick_budget_due_) {
     // Cancelling at entry: run the caller's self-clean hook first, just
@@ -662,10 +585,6 @@ bool Scheduler::block_with_timeout(BlockReason reason, std::uint64_t ticks,
 
 void Scheduler::join(ProcessId pid) {
   SCRIPT_ASSERT(pid < fibers_.size(), "join: unknown process");
-  if (parallel_ != nullptr) {
-    parallel_->join(fiber(current()), pid);
-    return;
-  }
   if (fiber(pid).state() == FiberState::Done) return;
   // Cancel before registering: a joiner that unwound at block() entry
   // would leave a joiners_ entry behind, and a caught cancellation
@@ -676,10 +595,6 @@ void Scheduler::join(ProcessId pid) {
 }
 
 void Scheduler::unblock(ProcessId pid) {
-  if (parallel_ != nullptr) {
-    parallel_->unblock(pid);
-    return;
-  }
   Fiber& f = fiber(pid);
   SCRIPT_ASSERT(f.state() == FiberState::Blocked,
                 "unblock on non-blocked fiber " + f.name());
@@ -703,10 +618,6 @@ void Scheduler::unblock(ProcessId pid) {
 }
 
 void Scheduler::wake_at(ProcessId pid, std::uint64_t ticks_from_now) {
-  if (parallel_ != nullptr) {
-    parallel_->wake_at(pid, ticks_from_now);
-    return;
-  }
   if (ticks_from_now == 0) {
     unblock(pid);
     return;
@@ -737,16 +648,8 @@ void Scheduler::wake_at(ProcessId pid, std::uint64_t ticks_from_now) {
 }
 
 ProcessId Scheduler::current() const {
-  const ProcessId pid = parallel_ != nullptr
-                            ? parallel_->current_on_this_thread()
-                            : current_;
-  SCRIPT_ASSERT(pid != kNoProcess, "operation requires a running fiber");
-  return pid;
-}
-
-bool Scheduler::in_fiber() const {
-  return (parallel_ != nullptr ? parallel_->current_on_this_thread()
-                               : current_) != kNoProcess;
+  SCRIPT_ASSERT(current_ != kNoProcess, "operation requires a running fiber");
+  return current_;
 }
 
 const std::string& Scheduler::name_of(ProcessId pid) const {
@@ -766,48 +669,37 @@ void Scheduler::trace_event(ProcessId subject, std::string what) {
 
 Fiber& Scheduler::fiber(ProcessId pid) {
   SCRIPT_ASSERT(pid < fibers_.size(), "unknown process id");
-  return fibers_[pid];
+  return *fibers_[pid];
 }
 
 const Fiber& Scheduler::fiber(ProcessId pid) const {
   SCRIPT_ASSERT(pid < fibers_.size(), "unknown process id");
-  return fibers_[pid];
+  return *fibers_[pid];
 }
 
-void Scheduler::switch_to(ExecContext& from, Fiber& f) {
-  // The fiber returns control to whoever dispatched it — in parallel
-  // mode a stolen group's fibers resume the *stealing* worker.
-  f.resume_ = &from;
-  // TSan must learn about the stack change or it reports every
-  // fiber-to-fiber data hand-off as a race (no-ops outside TSan).
-  if (f.tsan_ctx_ == nullptr)
-    f.tsan_ctx_ = sanitizer::tsan_create_context();
-  sanitizer::tsan_switch(f.tsan_ctx_);
-  sanitizer::start_switch(&from.asan_fake_stack, f.stack_.base(),
+void Scheduler::switch_to(Fiber& f) {
+  sanitizer::start_switch(&loop_.asan_fake_stack, f.stack_.base(),
                           f.stack_.size());
-  context::swap(from.ctx, f.ctx_);
-  sanitizer::finish_switch(from.asan_fake_stack, nullptr, nullptr);
+  context::swap(loop_.ctx, f.ctx_);
+  sanitizer::finish_switch(loop_.asan_fake_stack, nullptr, nullptr);
 }
 
 void Scheduler::fiber_entered(Fiber& f) {
   // First entry has no saved fake stack (null); resumptions restore the
   // one saved at the matching start_switch in switch_out. Either way the
-  // "from" bounds are the dispatching context's own stack — record them
-  // for the switch back (per-context they never change; each dispatching
-  // loop stays put on its own thread).
-  sanitizer::finish_switch(f.asan_fake_stack_, &f.resume_->stack_bottom,
-                           &f.resume_->stack_size);
+  // "from" bounds are the loop's own stack — record them for the switch
+  // back (they never change).
+  sanitizer::finish_switch(f.asan_fake_stack_, &loop_.stack_bottom,
+                           &loop_.stack_size);
 }
 
 void Scheduler::switch_out(Fiber& f) {
-  ExecContext& to = *f.resume_;
-  sanitizer::tsan_switch(to.tsan_ctx);
   // A Done fiber will never run again: hand ASan a null save slot so it
   // retires the fiber's fake stack instead of keeping it for a resume.
   sanitizer::start_switch(
       f.state() == FiberState::Done ? nullptr : &f.asan_fake_stack_,
-      to.stack_bottom, to.stack_size);
-  context::swap(f.ctx_, to.ctx);
+      loop_.stack_bottom, loop_.stack_size);
+  context::swap(f.ctx_, loop_.ctx);
   sanitizer::finish_switch(f.asan_fake_stack_, nullptr, nullptr);
   if (f.kill_pending_) {
     // A FaultPlan crash fired while we were parked: unwind this fiber's
@@ -825,10 +717,6 @@ void Scheduler::switch_out(Fiber& f) {
 
 void Scheduler::on_fiber_done(Fiber& f) {
   --live_;
-  // Parallel mode: the worker drains joiners under the group mutex when
-  // it retires the fiber (ParallelRuntime::finish_done) — doing it here,
-  // on the dying fiber's own stack, would race the joiner's fast path.
-  if (parallel_ != nullptr) return;
   for (const ProcessId waiter : f.joiners_)
     if (fiber(waiter).state() == FiberState::Blocked) unblock(waiter);
   f.joiners_.clear();
@@ -871,8 +759,6 @@ void Scheduler::maybe_purge_timers() {
 void Scheduler::reclaim_stack(Fiber& f) {
   SCRIPT_ASSERT(current_ == kNoProcess,
                 "stack reclaim must run from the scheduler loop");
-  sanitizer::tsan_destroy_context(f.tsan_ctx_);
-  f.tsan_ctx_ = nullptr;
   if (f.stack_.valid()) stack_pool_.release(f.release_stack());
 }
 

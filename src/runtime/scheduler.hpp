@@ -22,7 +22,6 @@
 #include "obs/event_bus.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/fiber.hpp"
-#include "runtime/fiber_table.hpp"
 #include "runtime/overload.hpp"
 #include "runtime/ready_queue.hpp"
 #include "runtime/stack_pool.hpp"
@@ -43,7 +42,6 @@ class TraceExporter;
 namespace script::runtime {
 
 class DebugEndpoint;
-class ParallelRuntime;
 
 enum class SchedulePolicy : std::uint8_t {
   Fifo,     // deterministic round-robin
@@ -70,18 +68,6 @@ struct SchedulerOptions {
   /// How many retired fiber stacks the scheduler's StackPool keeps for
   /// reuse (decommitted — address space, not RSS). 0 disables pooling.
   std::size_t stack_pool_max_idle = StackPool::kDefaultMaxIdle;
-  /// Number of OS worker threads for the parallel M:N work-stealing
-  /// mode. 0 (default) keeps the single-threaded deterministic
-  /// virtual-time backend — golden traces, explore(), fault schedules
-  /// all live there. Nonzero trades determinism for throughput: fibers
-  /// are pinned to groups (new_group()/spawn_in_group()), groups are
-  /// stolen whole, and several deterministic-only features are rejected
-  /// at run() (see docs/PERFORMANCE.md, "Parallel execution").
-  std::size_t workers = 0;
-  /// Parallel mode: max dispatches a worker performs from one group
-  /// before requeueing it, bounding group monopoly when cores are
-  /// scarce. 0 picks the default (128).
-  std::size_t group_quantum = 0;
 };
 
 struct RunResult {
@@ -112,31 +98,7 @@ class Scheduler {
 
   /// Create a new process fiber. Callable from outside run() or from a
   /// running fiber (dynamic spawn). Returns its ProcessId.
-  /// Parallel mode: the fiber joins the spawner's group (or group 0
-  /// when spawned from outside a fiber).
   ProcessId spawn(std::string name, std::function<void()> body);
-
-  /// Create a new scheduling group — the parallel mode's unit of
-  /// placement and stealing (one performance / script instance /
-  /// csp::Net per group; fibers of one group never run concurrently
-  /// with each other). In deterministic mode the grouping is recorded
-  /// but has no scheduling effect, so programs can be written once.
-  GroupId new_group();
-
-  /// spawn() into an explicit group. kInheritGroup behaves like spawn().
-  ProcessId spawn_in_group(GroupId gid, std::string name,
-                           std::function<void()> body);
-
-  /// Group `pid` was spawned into (0 unless placed via spawn_in_group).
-  GroupId group_of(ProcessId pid) const;
-
-  /// True when this scheduler runs the M:N work-stealing backend
-  /// (SchedulerOptions::workers > 0).
-  bool parallel_mode() const { return parallel_ != nullptr; }
-  /// Worker threads in parallel mode; 0 in deterministic mode.
-  std::size_t worker_count() const;
-  /// Lifetime count of group steals (parallel mode; 0 otherwise).
-  std::uint64_t steal_count() const;
 
   /// Drive all fibers to completion or deadlock. Exceptions escaping a
   /// fiber body are rethrown here. May be called repeatedly (spawn more,
@@ -194,7 +156,7 @@ class Scheduler {
 
   std::uint64_t now() const { return now_; }
   ProcessId current() const;
-  bool in_fiber() const;
+  bool in_fiber() const { return current_ != kNoProcess; }
   const std::string& name_of(ProcessId pid) const;
   FiberState state_of(ProcessId pid) const;
   std::size_t spawned_count() const { return fibers_.size(); }
@@ -417,22 +379,17 @@ class Scheduler {
 
  private:
   friend class Fiber;
-  friend class ParallelRuntime;
 
   Fiber& fiber(ProcessId pid);
   const Fiber& fiber(ProcessId pid) const;
-  /// From the current fiber back to whichever ExecContext dispatched it
-  /// (the deterministic loop, or a parallel worker — `f.resume_`).
+  /// From the current fiber back to the scheduler loop (loop_).
   void switch_out(Fiber& f);
-  /// The one context→fiber switch (dispatch and kill paths), bracketed
-  /// with the sanitizer fiber annotations. `from` is the dispatching
-  /// execution context; the fiber will switch back into it.
-  void switch_to(ExecContext& from, Fiber& f);
-  /// Deterministic loop's dispatch (from == main_exec_).
-  void switch_to(Fiber& f) { switch_to(main_exec_, f); }
+  /// The one loop→fiber switch (dispatch and kill paths), bracketed
+  /// with the sanitizer fiber annotations.
+  void switch_to(Fiber& f);
   /// First thing a fiber runs after gaining control (from trampoline):
-  /// completes the sanitizer-side switch and records the dispatching
-  /// context's stack bounds for the switch back.
+  /// completes the sanitizer-side switch and records the loop's stack
+  /// bounds for the switch back.
   void fiber_entered(Fiber& f);
   void on_fiber_done(Fiber& f);
   ProcessId pick_next();
@@ -543,10 +500,9 @@ class Scheduler {
   std::unique_ptr<obs::Inspector> inspector_;
   std::unique_ptr<DebugEndpoint> debug_;
   std::string trace_path_;  // from $SCRIPT_TRACE; written in the dtor
-  /// Segmented, append-only: readers (workers resolving pids) never see
-  /// a reallocation, so lookups are lock-free while spawns only hold
-  /// the parallel spawn mutex. Deterministic mode uses it identically.
-  FiberTableT<Fiber> fibers_;
+  /// Indexed by ProcessId (pids are dense spawn indices). Fibers stay
+  /// put in their unique_ptrs while the vector grows.
+  std::vector<std::unique_ptr<Fiber>> fibers_;
   ReadyQueueT<ProcessId, kNoProcess> ready_;
   TimerHeap timers_;
   std::size_t stale_timers_ = 0;  // heap entries made stale by early wakes
@@ -555,25 +511,15 @@ class Scheduler {
   std::uint64_t deadline_cancels_ = 0;
   std::uint64_t budget_cancels_ = 0;
   StackPool stack_pool_;
-  /// Deterministic mode's group bookkeeping (ids only; no scheduling
-  /// effect): per-fiber group, next fresh id. Parallel mode keeps the
-  /// real thing inside ParallelRuntime.
-  std::vector<GroupId> det_group_of_;
-  GroupId det_next_group_ = 1;  // 0 is the implicit default group
-  // Relaxed-atomic counters: cross-thread reads (snapshots, the debug
-  // endpoint, EventBus auto-stamping from workers) are benign races on
-  // plain integers; deterministic-mode behavior is unchanged.
-  RelaxedU64 live_{0};  // fibers not yet Done (cached for live_count)
-  RelaxedU64 now_{0};
+  std::uint64_t live_ = 0;  // fibers not yet Done (cached for live_count)
+  std::uint64_t now_ = 0;
   std::uint64_t timer_seq_ = 0;
-  RelaxedU64 steps_{0};
+  std::uint64_t steps_ = 0;
   ProcessId current_ = kNoProcess;
-  /// The deterministic loop's execution context (saved stack pointer +
-  /// sanitizer bookkeeping). Parallel workers each own their own
-  /// ExecContext.
-  ExecContext main_exec_;
+  /// The scheduler loop's execution context (saved stack pointer +
+  /// sanitizer bookkeeping); every fiber switches back into it.
+  ExecContext loop_;
   bool running_ = false;
-  std::unique_ptr<ParallelRuntime> parallel_;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::vector<std::pair<std::uint64_t, std::function<void(ProcessId)>>>
       crash_hooks_;

@@ -5,7 +5,6 @@
 namespace script::runtime {
 
 Stack StackPool::acquire(std::size_t usable_size) {
-  const auto lk = maybe_lock();
   // Stacks are keyed by their page-rounded usable size; any idle stack
   // at least as large as the request serves it (schedulers use one
   // fixed size, so lower_bound is a straight hit).
@@ -24,7 +23,6 @@ Stack StackPool::acquire(std::size_t usable_size) {
 
 void StackPool::release(Stack stack) {
   if (!stack.valid()) return;
-  const auto lk = maybe_lock();
   if (stats_.idle >= max_idle_) {
     ++stats_.dropped;
     return;  // stack's destructor unmaps

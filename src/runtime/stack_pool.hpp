@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "runtime/stack.hpp"
@@ -53,20 +52,8 @@ class StackPool {
   std::size_t max_idle() const { return max_idle_; }
   const Stats& stats() const { return stats_; }
 
-  /// Serialize acquire/release behind a mutex — the parallel mode's
-  /// workers hit the shared pool when their local caches run dry.
-  /// Deterministic mode leaves this off (zero-cost, as before).
-  void set_threaded(bool on) { threaded_ = on; }
-
  private:
-  std::unique_lock<std::mutex> maybe_lock() {
-    return threaded_ ? std::unique_lock<std::mutex>(mu_)
-                     : std::unique_lock<std::mutex>();
-  }
-
   std::size_t max_idle_;
-  bool threaded_ = false;
-  std::mutex mu_;
   // Keyed by usable size (sizes are per-scheduler constants in
   // practice, so this map has one or two entries).
   std::map<std::size_t, std::vector<Stack>> idle_;

@@ -90,20 +90,6 @@ TEST(DeathTest, MonitorLeaveWithoutHold) {
   EXPECT_DEATH(sched.run(), "without holding");
 }
 
-TEST(DeathTest, NetUsedFromTwoGroups) {
-  // One Net per scheduler group. The rule matters for the parallel
-  // mode's unlocked tables, but it is checked in both modes, so the
-  // deterministic one trips it reproducibly.
-  Scheduler sched;
-  Net net(sched);
-  const auto g1 = sched.new_group();
-  const auto g2 = sched.new_group();
-  const auto rx = net.spawn_process_in_group(
-      g1, "rx", [&] { (void)net.recv_any<int>("m"); });
-  net.spawn_process_in_group(g2, "tx", [&] { (void)net.send(rx, "m", 1); });
-  EXPECT_DEATH(sched.run(), "two scheduler groups");
-}
-
 TEST(DeathTest, BlockOutsideFiber) {
   Scheduler sched;
   EXPECT_DEATH(sched.block("nope"), "requires a running fiber");

@@ -344,6 +344,28 @@ TEST(WireLockdb, NegativeTxnDoesNotWrapIntoAnOwner) {
   EXPECT_EQ(c.reps[1]->data().at("x"), "2");
 }
 
+TEST(WireLockdb, LeadingZeroTxnIsABadRequest) {
+  // Staged transactions are keyed by the txn token. If "01" passed as
+  // owner 1, "dec 1 commit" would ack without applying the write staged
+  // under "01", and owner 1's locks would stay pinned by it.
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    ASSERT_TRUE(c.driver->acquire(1, "x", LockMode::Exclusive));
+    EXPECT_EQ(raw_request(c, 0, "prep raw 01 x=9"), "err bad request");
+    // A well-formed transaction still commits, and its write lands.
+    EXPECT_TRUE(c.driver->update(1, {{"x", "4"}}));
+    c.driver->release(1);
+    c.shutdown();
+  });
+  const auto r = c.sched.run();
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(c.reps[0]->bad_requests(), 1u);
+  for (auto& rep : c.reps) {
+    EXPECT_EQ(rep->committed(), 1u);
+    EXPECT_EQ(rep->data().at("x"), "4");
+  }
+}
+
 TEST(WireLockdb, OutOfRangeLeaseIsABadRequest) {
   Cluster c;
   c.sched.spawn("driver", [&] {

@@ -26,7 +26,6 @@ comparison. The committed baselines are produced the same way
 import argparse
 import json
 import os
-import re
 import sys
 
 COST_SUFFIXES = (
@@ -64,20 +63,6 @@ ABS_LIMITS = {
     "script.pair.allocs_per_perf": 0.0,
     "script.cast64.allocs_per_perf": 0.0,
 }
-
-# Hardware-gated speedup floors (bigger is better, unlike ABS_LIMITS).
-# A gauge named <workload>.w<N>.speedup_x is only enforced when the
-# machine that produced the fresh run reports a `cores` gauge >= N — a
-# host with fewer cores than workers physically cannot exhibit the
-# parallelism, so the floor is reported there but never failed. The
-# max across --fresh repeats is used (speedup noise is subtractive).
-SPEEDUP_FLOORS = {
-    # docs/PERFORMANCE.md: parallel mode delivers >= 3x rendezvous
-    # throughput on the sharded C7 workload at 8 workers.
-    "rendezvous.w8.speedup_x": 3.0,
-}
-
-SPEEDUP_KEY_RE = re.compile(r"\.w(\d+)\.speedup_x$")
 
 
 def load_gauges(path):
@@ -139,25 +124,6 @@ def main():
         if fresh_version != base_version:
             print("%-24s schema v%d baseline vs v%d fresh (tolerated)"
                   % (name, base_version, fresh_version))
-        cores = max((r.get("cores", 0) for r in runs), default=0)
-        for key, floor in sorted(SPEEDUP_FLOORS.items()):
-            if key not in fresh:
-                continue
-            m = SPEEDUP_KEY_RE.search(key)
-            workers = int(m.group(1)) if m else 0
-            best = max(r[key] for r in runs if key in r)
-            if cores < workers:
-                print("%-24s %-36s %12g (floor %g SKIPPED: host has "
-                      "%g cores < %d workers)"
-                      % (name, key, best, floor, cores, workers))
-                continue
-            if best < floor:
-                failures.append(
-                    "%s: %s is %g, below the speedup floor %g "
-                    "(host cores: %g)" % (name, key, best, floor, cores))
-            print("%-24s %-36s %12g (floor %g)  %s"
-                  % (name, key, best, floor,
-                     "BELOW FLOOR" if best < floor else "ok"))
         for key, limit in sorted(ABS_LIMITS.items()):
             if key not in fresh:
                 continue
