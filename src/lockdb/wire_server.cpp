@@ -1,10 +1,15 @@
 #include "lockdb/wire_server.hpp"
 
+#include <errno.h>
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <system_error>
 
 namespace script::lockdb {
@@ -13,12 +18,44 @@ namespace {
 
 constexpr const char* kReqTag = "lkreq";
 
-std::vector<std::string> tokens(const std::string& s) {
-  std::vector<std::string> out;
-  std::istringstream in(s);
-  std::string t;
-  while (in >> t) out.push_back(t);
-  return out;
+/// The characters `operator>>` skips between words in the C locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+// No op takes more than this many tokens (acq takes six).
+constexpr std::size_t kMaxTokens = 6;
+
+/// Splits `s` at runs of whitespace into the first kMaxTokens tokens.
+/// Returns the token count, capped at kMaxTokens + 1, which every
+/// arity check refuses.
+std::size_t split(std::string_view s,
+                  std::array<std::string_view, kMaxTokens>& tok) {
+  std::size_t n = 0;
+  std::size_t i = 0;
+  while (n <= kMaxTokens) {
+    while (i < s.size() && is_space(s[i])) ++i;
+    if (i == s.size()) break;
+    const std::size_t start = i;
+    while (i < s.size() && !is_space(s[i])) ++i;
+    if (n < kMaxTokens) tok[n] = s.substr(start, i - start);
+    ++n;
+  }
+  return n;
+}
+
+/// A key is one token, and the left of "k=v" in a write set.
+bool encodable_key(const std::string& k) {
+  return !k.empty() && std::none_of(k.begin(), k.end(), [](char c) {
+    return is_space(c) || c == ';' || c == '=';
+  });
+}
+
+/// A value is the right of "k=v" in a write set, inside one token.
+bool encodable_value(const std::string& v) {
+  return std::none_of(v.begin(), v.end(),
+                      [](char c) { return is_space(c) || c == ';'; });
 }
 
 /// The whole token as a canonical unsigned decimal, or nullopt. Peer
@@ -27,7 +64,7 @@ std::vector<std::string> tokens(const std::string& s) {
 /// multi-digit token is refused too: staged transactions are keyed by
 /// the token, so "01" and "1" must not both name owner 1.
 template <typename T>
-std::optional<T> parse_number(const std::string& s) {
+std::optional<T> parse_number(std::string_view s) {
   if (s.size() > 1 && s[0] == '0') return std::nullopt;
   T v{};
   const char* end = s.data() + s.size();
@@ -36,9 +73,8 @@ std::optional<T> parse_number(const std::string& s) {
   return v;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+/// Appends `s` to `out` with backslash, tab and newline escaped.
+void escape_into(std::string& out, const std::string& s) {
   for (char c : s) {
     if (c == '\\')
       out += "\\\\";
@@ -49,7 +85,6 @@ std::string escape(const std::string& s) {
     else
       out += c;
   }
-  return out;
 }
 
 std::string unescape(const std::string& s) {
@@ -64,6 +99,23 @@ std::string unescape(const std::string& s) {
     out += s[i] == 't' ? '\t' : s[i] == 'n' ? '\n' : s[i];
   }
   return out;
+}
+
+/// The whole file, or nullopt when it cannot be read.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::string text;
+  char buf[64 * 1024];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof buf)) != 0) {
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) break;
+    text.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  if (n < 0) return std::nullopt;
+  return text;
 }
 
 }  // namespace
@@ -132,43 +184,62 @@ std::vector<std::pair<std::string, std::string>> SimWal::all() const {
 }
 
 FileWal::FileWal(std::string path) : path_(std::move(path)) {
-  std::FILE* f = std::fopen(path_.c_str(), "r");
-  if (f == nullptr) return;
-  std::string line;
-  int c;
-  while ((c = std::fgetc(f)) != EOF) {
-    if (c != '\n') {
-      line += static_cast<char>(c);
-      continue;
-    }
-    // Only newline-terminated lines count: a crash mid-append leaves a
-    // torn tail that must be discarded, same as any real WAL.
-    const std::size_t tab = line.find('\t');
-    if (tab != std::string::npos)
-      records_.emplace_back(unescape(line.substr(0, tab)),
-                            unescape(line.substr(tab + 1)));
-    line.clear();
-  }
-  std::fclose(f);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+               0666);
+  // A crash mid-append leaves a torn last line. Cut it off before the
+  // first append, or that record would extend the torn line and be
+  // lost with it at the next read.
+  const std::optional<std::string> text = read_file(path_);
+  if (fd_ < 0 || !text) return;
+  const std::size_t keep = text->rfind('\n') + 1;  // npos + 1 == 0
+  if (keep < text->size() &&
+      ::ftruncate(fd_, static_cast<off_t>(keep)) != 0)
+    std::perror("FileWal: cannot cut torn tail");
+}
+
+FileWal::~FileWal() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void FileWal::append(const std::string& key, const std::string& value) {
-  records_.emplace_back(key, value);
-  std::FILE* f = std::fopen(path_.c_str(), "a");
-  if (f == nullptr) return;
-  const std::string line = escape(key) + "\t" + escape(value) + "\n";
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fclose(f);  // close flushes; good enough durability for the demo
+  if (fd_ < 0) return;
+  line_.clear();
+  escape_into(line_, key);
+  line_ += '\t';
+  escape_into(line_, value);
+  line_ += '\n';
+  // One write() per record: the whole line reaches the kernel before
+  // append returns. Nothing is fsync'd.
+  std::size_t done = 0;
+  while (done < line_.size()) {
+    const ssize_t n = ::write(fd_, line_.data() + done, line_.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;  // disk full or I/O error: the record is lost
+    done += static_cast<std::size_t>(n);
+  }
 }
 
 std::optional<std::string> FileWal::last(const std::string& key) const {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it)
+  const auto records = all();
+  for (auto it = records.rbegin(); it != records.rend(); ++it)
     if (it->first == key) return it->second;
   return std::nullopt;
 }
 
 std::vector<std::pair<std::string, std::string>> FileWal::all() const {
-  return records_;
+  std::vector<std::pair<std::string, std::string>> records;
+  const std::string text = read_file(path_).value_or("");
+  // Only newline-terminated lines count: a crash mid-append leaves a
+  // torn tail that must be discarded, same as any real WAL.
+  std::size_t pos = 0;
+  for (std::size_t nl; (nl = text.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    const std::size_t tab = text.find('\t', pos);
+    if (tab < nl)
+      records.emplace_back(unescape(text.substr(pos, tab - pos)),
+                           unescape(text.substr(tab + 1, nl - tab - 1)));
+  }
+  return records;
 }
 
 // ---- WireReplica ----
@@ -355,10 +426,11 @@ void WireReplica::serve() {
 }
 
 void WireReplica::handle(const runtime::Wire::Msg& m) {
-  const std::vector<std::string> tok = tokens(m.payload);
-  if (tok.size() < 2) return;  // no op or no reply tag: undeliverable
-  const std::string& op = tok[0];
-  const std::string& rtag = tok[1];
+  std::array<std::string_view, kMaxTokens> tok;
+  const std::size_t n = split(m.payload, tok);
+  if (n < 2) return;  // no op or no reply tag: undeliverable
+  const std::string_view op = tok[0];
+  const std::string rtag(tok[1]);
   ++served_;
   auto reply = [&](const std::string& payload) {
     wire_->post(m.from, rtag, payload);
@@ -368,7 +440,7 @@ void WireReplica::handle(const runtime::Wire::Msg& m) {
     reply("err bad request");
   };
 
-  if (op == "acq" && tok.size() == 6) {
+  if (op == "acq" && n == 6) {
     // acq <r> <txn> <item> <S|X> <lease_ticks>
     const auto txn = parse_number<OwnerId>(tok[2]);
     const auto lease = parse_number<std::uint64_t>(tok[5]);
@@ -379,20 +451,21 @@ void WireReplica::handle(const runtime::Wire::Msg& m) {
     const LockMode mode =
         tok[4] == "X" ? LockMode::Exclusive : LockMode::Shared;
     table_->reap_expired(now);
-    const bool ok = table_->acquire_leased(tok[3], mode, *txn, now + *lease);
+    const bool ok = table_->acquire_leased(std::string(tok[3]), mode, *txn,
+                                           now + *lease);
     reply(ok ? "ok" : "no");
-  } else if (op == "rel" && tok.size() == 3) {
+  } else if (op == "rel" && n == 3) {
     // rel <r> <txn>
     const auto txn = parse_number<OwnerId>(tok[2]);
     if (!txn) return bad_request();
     reply("ok " + std::to_string(table_->release_all(*txn)));
-  } else if (op == "prep" && tok.size() >= 3) {
-    // prep <r> <txn> <k=v;k=v>   (vote yes only when the txn holds an
+  } else if (op == "prep" && (n == 3 || n == 4)) {
+    // prep <r> <txn> [<k=v;k=v>]   (vote yes only when the txn holds an
     // X lock on every item it wants to write: 2PC rides ON the locks)
-    const std::string& txn = tok[2];
+    const std::string txn(tok[2]);
     const auto owner = parse_number<OwnerId>(txn);
     if (!owner) return bad_request();
-    const std::string staged = tok.size() > 3 ? tok[3] : "";
+    const std::string staged(n == 4 ? tok[3] : std::string_view());
     bool can = true;
     for (const auto& [k, v] : lockdb_parse_kv(staged))
       if (!table_->holds(k, *owner)) can = false;
@@ -403,25 +476,26 @@ void WireReplica::handle(const runtime::Wire::Msg& m) {
     } else {
       reply("no");
     }
-  } else if (op == "dec" && tok.size() == 4) {
-    // dec <r> <txn> <commit|abort>
-    const std::string& txn = tok[2];
+  } else if (op == "dec" && n == 4) {
+    // dec <r> <txn> <commit|abort>: the txn's locks are released before
+    // the ack, so a driver need not follow an acked dec with rel.
+    const std::string txn(tok[2]);
     const auto owner = parse_number<OwnerId>(txn);
     if (!owner) return bad_request();
     decide(txn, tok[3] == "commit");
     table_->release_all(*owner);
     reply("ack");
-  } else if (op == "get" && tok.size() == 3) {
-    const auto it = kv_.find(tok[2]);
+  } else if (op == "get" && n == 3) {
+    const auto it = kv_.find(std::string(tok[2]));
     reply(it == kv_.end() ? "?" : it->second);
-  } else if (op == "digest" && tok.size() == 2) {
+  } else if (op == "digest" && n == 2) {
     reply(digest());
-  } else if (op == "outcome" && tok.size() == 3) {
-    const auto v = wal_->last("decision." + tok[2]);
+  } else if (op == "outcome" && n == 3) {
+    const auto v = wal_->last("decision." + std::string(tok[2]));
     reply(v.value_or("unknown"));
-  } else if (op == "sync" && tok.size() == 2) {
+  } else if (op == "sync" && n == 2) {
     reply(lockdb_serialize_kv(kv_));
-  } else if (op == "role" && tok.size() == 2) {
+  } else if (op == "role" && n == 2) {
     reply(std::to_string(primary_));
   } else {
     bad_request();
@@ -489,8 +563,11 @@ bool WireDriver::request(runtime::PeerId to, const std::string& op_and_args,
 
 bool WireDriver::acquire(std::uint32_t txn, const std::string& item,
                          LockMode mode) {
+  if (!encodable_key(item)) return false;
   const std::vector<runtime::PeerId> targets = live();
   if (targets.size() < opts_.min_survivors) return false;
+  // Locks taken after the decision are not covered by its dec.
+  if (decided_txn_ == txn) decided_txn_.reset();
   std::vector<runtime::PeerId> granted;
   bool ok = true;
   for (runtime::PeerId id : targets) {
@@ -520,15 +597,27 @@ bool WireDriver::acquire(std::uint32_t txn, const std::string& item,
 }
 
 void WireDriver::release(std::uint32_t txn) {
+  const bool decided = decided_txn_ == txn;
   for (runtime::PeerId id : live()) {
+    if (decided && std::find(released_by_dec_.begin(), released_by_dec_.end(),
+                             id) != released_by_dec_.end())
+      continue;  // its dec ack already released every lock of txn
     std::string ignored;
     request(id, "rel " + std::to_string(txn), &ignored);
   }
+  if (decided) decided_txn_.reset();
 }
 
 bool WireDriver::update(
     std::uint32_t txn,
     const std::vector<std::pair<std::string, std::string>>& writes) {
+  for (const auto& [k, v] : writes) {
+    if (!encodable_key(k) || !encodable_value(v)) {
+      ++aborts_;
+      publish("lockdb.refused", "unencodable write");
+      return false;
+    }
+  }
   std::vector<runtime::PeerId> targets = live();
   if (targets.size() < opts_.min_survivors) {
     ++aborts_;
@@ -558,11 +647,18 @@ bool WireDriver::update(
   // the survivors.
   wal_->append("decision." + t, all_yes ? "commit" : "abort");
 
-  // Phase 2 — drive the decision to whoever is still alive.
+  // Phase 2 — drive the decision to whoever is still alive. Each ack
+  // also says that replica released the transaction's locks.
+  decided_txn_.reset();
+  released_by_dec_.clear();
   for (runtime::PeerId id : live()) {
     std::string ack;
-    request(id, "dec " + t + " " + (all_yes ? "commit" : "abort"), &ack);
+    if (request(id, "dec " + t + " " + (all_yes ? "commit" : "abort"),
+                &ack) &&
+        ack == "ack")
+      released_by_dec_.push_back(id);
   }
+  decided_txn_ = txn;
   if (all_yes)
     ++commits_;
   else
@@ -571,6 +667,7 @@ bool WireDriver::update(
 }
 
 std::optional<std::string> WireDriver::get(const std::string& key) {
+  if (!encodable_key(key)) return std::nullopt;
   for (runtime::PeerId id : live()) {
     std::string reply;
     if (request(id, "get " + key, &reply))

@@ -23,7 +23,7 @@
 //     membership.
 //
 // Protocol: every request is one Wire message under the "lkreq" tag,
-// payload "<op> <reply_tag> <args...>" (space-separated tokens; the
+// payload "<op> <reply_tag> <args...>" (whitespace-separated tokens; the
 // reply goes back to the sender under <reply_tag>). Ops: acq rel prep
 // dec get digest outcome sync role. See wire_server.cpp for the
 // grammar of each.
@@ -67,19 +67,27 @@ class SimWal final : public Wal {
 };
 
 /// One record per line, "key\tvalue\n", tabs/newlines/backslashes
-/// escaped. Appends are flushed line-atomically; a torn final line
-/// (crash mid-append) is dropped at load, exactly like a real WAL
-/// discarding a torn tail record.
+/// escaped. The file is the only copy of the log: append() hands each
+/// line to the kernel with one write() on a descriptor held open for
+/// the WAL's life (no fsync), and all()/last() read the file back. A
+/// torn final line (crash mid-append) is dropped by every read, exactly
+/// like a real WAL discarding a torn tail record, and cut off when the
+/// WAL is opened so the next record starts a line of its own.
 class FileWal final : public Wal {
  public:
   explicit FileWal(std::string path);
+  ~FileWal() override;
+  FileWal(const FileWal&) = delete;
+  FileWal& operator=(const FileWal&) = delete;
+
   void append(const std::string& key, const std::string& value) override;
   std::optional<std::string> last(const std::string& key) const override;
   std::vector<std::pair<std::string, std::string>> all() const override;
 
  private:
   std::string path_;
-  std::vector<std::pair<std::string, std::string>> records_;
+  int fd_ = -1;       // O_APPEND, open for the WAL's life
+  std::string line_;  // append()'s line buffer, reused
 };
 
 struct WireReplicaOptions {
@@ -183,6 +191,11 @@ struct WireDriverOptions {
 /// coordinator-side WAL. A replica that exhausts its reply attempts is
 /// declared dead and the driver DEGRADES to the survivors; when fewer
 /// than min_survivors remain it refuses further work (Abort policy).
+///
+/// Keys and values travel as whitespace-separated tokens and in
+/// "k=v;k=v" write sets, so acquire(), update() and get() refuse,
+/// before sending anything, a key that is empty or holds whitespace,
+/// ';' or '=', and a value that holds whitespace or ';'.
 class WireDriver {
  public:
   WireDriver(runtime::Scheduler& sched, runtime::Wire& wire, Wal& wal,
@@ -191,6 +204,9 @@ class WireDriver {
   /// Acquire `item` for `txn` on every live replica. All-or-nothing:
   /// a denial releases what was taken and returns false.
   bool acquire(std::uint32_t txn, const std::string& item, LockMode mode);
+  /// Release every lock of `txn`. A replica that acked the `dec` of
+  /// the transaction this driver decided last has already released
+  /// them and gets no `rel`, unless acquire() ran for it since.
   void release(std::uint32_t txn);
 
   /// 2PC: prepare `writes` on all live replicas under `txn` (which
@@ -225,6 +241,11 @@ class WireDriver {
   obs::EventBus* bus_ = nullptr;
   std::set<runtime::PeerId> dead_;
   std::uint64_t reply_seq_ = 0;
+  // The transaction update() decided last, and the replicas that acked
+  // its `dec` (a replica releases the transaction's locks before it
+  // acks). Reset by an acquire() for that transaction.
+  std::optional<std::uint32_t> decided_txn_;
+  std::vector<runtime::PeerId> released_by_dec_;
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;
   std::uint64_t declared_dead_ = 0;

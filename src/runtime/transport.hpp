@@ -67,6 +67,10 @@ struct TransportStats {
   std::uint64_t disconnects = 0;      // link went down
   std::uint64_t reconnects = 0;       // link came back up
   std::uint64_t stale_frames = 0;     // dropped: stale incarnation
+  // Real-socket backends only (zero on sim): every epoll and socket
+  // call made, and how many of them were epoll_ctl.
+  std::uint64_t syscalls = 0;
+  std::uint64_t epoll_ctls = 0;
   // Chaos-link injections (zero on a plain backend):
   std::uint64_t chaos_dropped = 0;
   std::uint64_t chaos_delayed = 0;

@@ -19,6 +19,10 @@ namespace {
 
 constexpr char kHelloMagic[4] = {'S', 'C', 'R', 'W'};
 
+// One epoll_wait returns at most this many events; a full array means
+// more may be ready.
+constexpr int kMaxEvents = 32;
+
 std::string encode_frame(const std::string& payload) {
   std::string out;
   out.reserve(4 + payload.size());
@@ -48,7 +52,7 @@ std::string hello_payload(PeerId self) {
 
 TcpTransport::TcpTransport(PeerId self, TcpOptions opts)
     : self_(self), opts_(opts) {
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  epoll_fd_ = sys(::epoll_create1(EPOLL_CLOEXEC));
 }
 
 TcpTransport::~TcpTransport() {
@@ -60,29 +64,27 @@ TcpTransport::~TcpTransport() {
 
 bool TcpTransport::listen(std::uint16_t port) {
   const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+      sys(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (fd < 0) return false;
   const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sys(::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 16) != 0) {
+  if (sys(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                 sizeof addr)) != 0 ||
+      sys(::listen(fd, 16)) != 0) {
     const int saved = errno;
-    ::close(fd);
+    sys(::close(fd));
     errno = saved;
     return false;
   }
   socklen_t alen = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen);
+  sys(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen));
   bound_port_ = ntohs(addr.sin_port);
   listen_fd_ = fd;
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = ~0ull;  // listen fd sentinel
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  ctl(EPOLL_CTL_ADD, fd, EPOLLIN, ~0ull);  // listen fd sentinel
   return true;
 }
 
@@ -100,37 +102,44 @@ int TcpTransport::conn_of(PeerId id) const {
   return it == peers_.end() ? -1 : it->second.conn;
 }
 
+void TcpTransport::ctl(int op, int fd, std::uint32_t events,
+                       std::uint64_t data) {
+  ++stats_.epoll_ctls;
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = data;
+  sys(::epoll_ctl(epoll_fd_, op, fd, &ev));
+}
+
 void TcpTransport::want_out(int ci, bool on) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
   if (c.fd < 0 || c.epollout == on) return;
   c.epollout = on;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (on ? EPOLLOUT : 0u);
-  ev.data.u64 = static_cast<std::uint64_t>(ci);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+  ctl(EPOLL_CTL_MOD, c.fd, EPOLLIN | (on ? EPOLLOUT : 0u),
+      static_cast<std::uint64_t>(ci));
 }
 
 void TcpTransport::start_connect(PeerId id) {
   Peer& p = peers_[id];
   const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+      sys(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (fd < 0) return;
   const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  sys(::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(p.port);
   if (::inet_pton(AF_INET, p.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
+    sys(::close(fd));
     return;
   }
   int rc;
   do {
-    rc = support::io.connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                             sizeof addr);
+    rc = sys(support::io.connect(
+        fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr));
   } while (rc != 0 && errno == EINTR);
   if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
+    sys(::close(fd));
     drop_link(id, "connect refused");
     return;
   }
@@ -141,10 +150,8 @@ void TcpTransport::start_connect(PeerId id) {
   const int ci = static_cast<int>(conns_.size());
   conns_.push_back(std::move(c));
   p.conn = ci;
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT;  // OUT signals connect completion
-  ev.data.u64 = static_cast<std::uint64_t>(ci);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  // OUT signals connect completion.
+  ctl(EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLOUT, static_cast<std::uint64_t>(ci));
   conns_[static_cast<std::size_t>(ci)].epollout = true;
   publish("wire.connecting", "peer=" + std::to_string(id));
 }
@@ -157,8 +164,8 @@ void TcpTransport::close_conn(int ci, const char* why) {
     ++stats_.torn_frames;
     publish("wire.torn_frame", "peer=" + std::to_string(c.peer));
   }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
-  ::close(c.fd);
+  ctl(EPOLL_CTL_DEL, c.fd, 0, 0);
+  sys(::close(c.fd));
   c.fd = -1;
   c.in.clear();
   c.out.clear();
@@ -223,16 +230,17 @@ void TcpTransport::feed_conn(PeerId id) {
     c.out += encode_frame(p.queue.front());
     p.queue.pop_front();
   }
-  if (!c.out.empty()) want_out(p.conn, true);
+  // Written by the next flush(): the end of service() or wait_io().
 }
 
 void TcpTransport::pump_out(int ci) {
   Conn& c = conns_[static_cast<std::size_t>(ci)];
-  while (!c.out.empty()) {
-    const ssize_t n =
-        support::io.send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+  std::size_t done = 0;
+  while (done < c.out.size()) {
+    const ssize_t n = sys(support::io.send(
+        c.fd, c.out.data() + done, c.out.size() - done, MSG_NOSIGNAL));
     if (n > 0) {
-      c.out.erase(0, static_cast<std::size_t>(n));  // short write: advance
+      done += static_cast<std::size_t>(n);  // short write: advance
       continue;
     }
     if (n < 0 && errno == EINTR) continue;  // signal: retry
@@ -243,7 +251,17 @@ void TcpTransport::pump_out(int ci) {
       drop_link(c.peer, "send failed");
     return;
   }
+  c.out.erase(0, done);
+  // EPOLLOUT only while a full socket holds output back.
   want_out(ci, !c.out.empty());
+}
+
+void TcpTransport::flush() {
+  for (int ci = 0; ci < static_cast<int>(conns_.size()); ++ci) {
+    const Conn& c = conns_[static_cast<std::size_t>(ci)];
+    if (c.fd >= 0 && !c.connecting && !c.epollout && !c.out.empty())
+      pump_out(ci);
+  }
 }
 
 void TcpTransport::on_frame(int ci, std::string frame) {
@@ -275,10 +293,9 @@ void TcpTransport::pump_in(int ci) {
   char buf[64 * 1024];
   for (;;) {
     Conn& c = conns_[static_cast<std::size_t>(ci)];
-    if (c.fd < 0) return;
-    const ssize_t n = support::io.recv(c.fd, buf, sizeof buf, 0);
+    const ssize_t n = sys(support::io.recv(c.fd, buf, sizeof buf, 0));
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (n <= 0) {
       if (c.peer == kNoPeer)
         close_conn(ci, "peer closed");
@@ -287,22 +304,54 @@ void TcpTransport::pump_in(int ci) {
       return;
     }
     c.in.append(buf, static_cast<std::size_t>(n));
-    while (conns_[static_cast<std::size_t>(ci)].in.size() >= 4) {
-      Conn& cc = conns_[static_cast<std::size_t>(ci)];
-      const std::uint32_t len = read_u32(cc.in.data());
-      if (len > opts_.max_frame_bytes) {
-        ++stats_.torn_frames;
-        if (cc.peer == kNoPeer)
-          close_conn(ci, "oversized frame");
-        else
-          drop_link(cc.peer, "oversized frame");
-        return;
-      }
-      if (cc.in.size() < 4 + static_cast<std::size_t>(len)) break;
-      std::string frame = cc.in.substr(4, len);
-      cc.in.erase(0, 4 + static_cast<std::size_t>(len));
-      on_frame(ci, std::move(frame));  // may invalidate references
+    if (!take_frames(ci)) return;
+    // A short read drained the socket; epoll reports the next arrival.
+    if (static_cast<std::size_t>(n) < sizeof buf) return;
+  }
+}
+
+bool TcpTransport::take_frames(int ci) {
+  std::size_t pos = 0;
+  for (;;) {
+    // on_frame may close this connection (a bad hello): re-index.
+    Conn& c = conns_[static_cast<std::size_t>(ci)];
+    if (c.fd < 0) return false;
+    if (c.in.size() - pos < 4) break;
+    const std::uint32_t len = read_u32(c.in.data() + pos);
+    if (len > opts_.max_frame_bytes) {
+      ++stats_.torn_frames;
+      if (c.peer == kNoPeer)
+        close_conn(ci, "oversized frame");
+      else
+        drop_link(c.peer, "oversized frame");
+      return false;
     }
+    if (c.in.size() - pos - 4 < len) break;
+    std::string frame = c.in.substr(pos + 4, len);
+    pos += 4 + static_cast<std::size_t>(len);
+    on_frame(ci, std::move(frame));
+  }
+  conns_[static_cast<std::size_t>(ci)].in.erase(0, pos);
+  return true;
+}
+
+void TcpTransport::accept_all() {
+  // Accept every pending connection; the hello identifies them.
+  for (;;) {
+    const int fd = sys(support::io.accept(listen_fd_, nullptr, nullptr,
+                                          SOCK_NONBLOCK | SOCK_CLOEXEC));
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    const int one = 1;
+    sys(::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one));
+    Conn c;
+    c.fd = fd;
+    c.hello_sent = true;  // acceptors don't hello; dialers do
+    const int ci = static_cast<int>(conns_.size());
+    conns_.push_back(std::move(c));
+    ctl(EPOLL_CTL_ADD, fd, EPOLLIN, static_cast<std::uint64_t>(ci));
   }
 }
 
@@ -316,34 +365,13 @@ void TcpTransport::service() {
       start_connect(id);
   }
 
-  epoll_event evs[32];
+  epoll_event evs[kMaxEvents];
   for (;;) {
-    const int n = ::epoll_wait(epoll_fd_, evs, 32, 0);
+    const int n = sys(::epoll_wait(epoll_fd_, evs, kMaxEvents, 0));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
     for (int i = 0; i < n; ++i) {
       if (evs[i].data.u64 == ~0ull) {
-        // Accept every pending connection; the hello identifies them.
-        for (;;) {
-          const int fd =
-              support::io.accept(listen_fd_, nullptr, nullptr,
-                                 SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (fd < 0) {
-            if (errno == EINTR) continue;
-            break;
-          }
-          const int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          Conn c;
-          c.fd = fd;
-          c.hello_sent = true;  // acceptors don't hello; dialers do
-          const int ci = static_cast<int>(conns_.size());
-          conns_.push_back(std::move(c));
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.u64 = static_cast<std::uint64_t>(ci);
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-        }
+        accept_all();
         continue;
       }
       const int ci = static_cast<int>(evs[i].data.u64);
@@ -352,7 +380,7 @@ void TcpTransport::service() {
       if (c.connecting) {
         int err = 0;
         socklen_t elen = sizeof err;
-        ::getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &err, &elen);
+        sys(::getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &err, &elen));
         if ((evs[i].events & (EPOLLERR | EPOLLHUP)) != 0 || err != 0) {
           drop_link(c.peer, "connect failed");
           continue;
@@ -363,10 +391,9 @@ void TcpTransport::service() {
           p.attempts = 0;
           if (p.was_up) ++stats_.reconnects;
           p.was_up = true;
-          want_out(ci, false);
           publish("wire.link_up", "peer=" + std::to_string(c.peer));
           feed_conn(c.peer);
-          pump_out(ci);
+          pump_out(ci);  // disarms the connect-time EPOLLOUT once drained
         }
         continue;
       }
@@ -381,13 +408,12 @@ void TcpTransport::service() {
       Conn& c2 = conns_[static_cast<std::size_t>(ci)];
       if (c2.fd >= 0 && (evs[i].events & EPOLLOUT) != 0) pump_out(ci);
     }
+    if (n < kMaxEvents) break;
   }
 
-  // Opportunistic flush + compaction of dead conn slots.
-  for (int ci = 0; ci < static_cast<int>(conns_.size()); ++ci) {
-    Conn& c = conns_[static_cast<std::size_t>(ci)];
-    if (c.fd >= 0 && !c.connecting && !c.out.empty()) pump_out(ci);
-  }
+  // Write what was queued since the last flush, then compact dead
+  // conn slots.
+  flush();
   while (!conns_.empty() && conns_.back().fd < 0) conns_.pop_back();
 }
 
@@ -404,9 +430,11 @@ std::size_t TcpTransport::poll(const PollFn& fn) {
 
 void TcpTransport::wait_io(int timeout_us) {
   if (epoll_fd_ < 0 || timeout_us <= 0) return;
+  // Frames queued since service() must not sit out the wait.
+  flush();
   epoll_event ev;
   // Wake on any readiness; the work itself happens in service().
-  ::epoll_wait(epoll_fd_, &ev, 1, std::max(1, timeout_us / 1000));
+  sys(::epoll_wait(epoll_fd_, &ev, 1, std::max(1, timeout_us / 1000)));
 }
 
 void TcpTransport::kick(PeerId peer) {
@@ -421,7 +449,7 @@ void TcpTransport::slow_close(PeerId peer) {
       // Half a length prefix, then the close: the peer sees a torn
       // frame, the nastiest shape a real crash leaves on the wire.
       const char torn[2] = {0x10, 0x00};
-      (void)support::io.send(c.fd, torn, sizeof torn, MSG_NOSIGNAL);
+      (void)sys(support::io.send(c.fd, torn, sizeof torn, MSG_NOSIGNAL));
     }
   }
   drop_link(peer, "slow close");

@@ -17,6 +17,18 @@
 //   * short write: advance the cursor, finish at the next safepoint;
 //   * EAGAIN: stop pumping, never tear down.
 //
+// Syscalls per frame are kept few, since every process of a deployment
+// may share one CPU:
+//   * send() only queues. Queued output is written at the end of
+//     service() and before wait_io() blocks, so frames queued together
+//     leave in one send(). EPOLLOUT is armed only after send() returns
+//     EAGAIN, while a full socket holds output back;
+//   * a connection's read loop ends on a short recv(): the socket is
+//     drained, and level-triggered epoll reports the next arrival;
+//   * service() calls epoll_wait once, again only if the event array
+//     came back full.
+// TransportStats::syscalls counts every epoll and socket call made.
+//
 // Outbound frames queue per peer, bounded by max_queue_bytes; past the
 // bound send() refuses and counts (frames_shed) — a slow peer sheds
 // load, it does not grow our heap. A connection that dies leaves its
@@ -110,9 +122,20 @@ class TcpTransport final : public Transport {
   void drop_link(PeerId id, const char* why);   // close + arm backoff
   void pump_out(int ci);
   void pump_in(int ci);
+  bool take_frames(int ci);  // false: the connection was closed
   void on_frame(int ci, std::string frame);
   void want_out(int ci, bool on);
   void feed_conn(PeerId id);  // move queued frames into conn.out
+  void flush();  // pump_out every connection not waiting on EPOLLOUT
+  void accept_all();
+
+  /// Passes a syscall's result through, counting the call.
+  template <typename R>
+  R sys(R result) {
+    ++stats_.syscalls;
+    return result;
+  }
+  void ctl(int op, int fd, std::uint32_t events, std::uint64_t data);
 
   PeerId self_;
   TcpOptions opts_;

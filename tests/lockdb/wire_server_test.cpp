@@ -40,23 +40,55 @@ TEST(FileWal, RoundTripsAndDropsTornTail) {
   const std::string path =
       "/tmp/script_filewal_" + std::to_string(::getpid()) + ".wal";
   std::remove(path.c_str());
-  {
-    FileWal w(path);
-    w.append("decision.1", "commit");
-    w.append("prep.2", "a=1;b=2");
-    w.append("odd\tkey", "with\nnewline");
-  }
+  FileWal w(path);
+  EXPECT_TRUE(w.all().empty());
+  w.append("decision.1", "commit");
+  w.append("prep.2", "a=1;b=2");
+  w.append("odd\tkey", "with\nnewline");
   {
     // Simulate a crash mid-append: a torn, unterminated tail line.
     std::FILE* f = std::fopen(path.c_str(), "a");
     std::fputs("decision.3\tcom", f);
     std::fclose(f);
   }
+  auto check = [](const Wal& wal) {
+    ASSERT_EQ(wal.all().size(), 3u) << "torn tail must be discarded";
+    EXPECT_EQ(wal.last("decision.1").value(), "commit");
+    EXPECT_EQ(wal.last("prep.2").value(), "a=1;b=2");
+    EXPECT_EQ(wal.last("odd\tkey").value(), "with\nnewline");
+    EXPECT_FALSE(wal.last("decision.3").has_value());
+  };
+  // The writer keeps no copy of the log: it reads the file back, as a
+  // restarted replica does.
+  check(w);
+  check(FileWal(path));
+  std::remove(path.c_str());
+}
+
+TEST(FileWal, AppendAfterTornTailStartsItsOwnLine) {
+  // A crash mid-append left "decision.3\tcom". The next incarnation's
+  // first record must not extend that torn line, or a later replay
+  // reads it as decision.3 = "comdecision.4\tcommit" and loses it.
+  const std::string path =
+      "/tmp/script_filewal_torn_" + std::to_string(::getpid()) + ".wal";
+  std::remove(path.c_str());
+  {
+    FileWal w(path);
+    w.append("decision.1", "commit");
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "a");
+    std::fputs("decision.3\tcom", f);
+    std::fclose(f);
+  }
+  {
+    FileWal w(path);
+    w.append("decision.4", "commit");
+  }
   FileWal r(path);
-  ASSERT_EQ(r.all().size(), 3u) << "torn tail must be discarded";
+  ASSERT_EQ(r.all().size(), 2u);
   EXPECT_EQ(r.last("decision.1").value(), "commit");
-  EXPECT_EQ(r.last("prep.2").value(), "a=1;b=2");
-  EXPECT_EQ(r.last("odd\tkey").value(), "with\nnewline");
+  EXPECT_EQ(r.last("decision.4").value(), "commit");
   EXPECT_FALSE(r.last("decision.3").has_value());
   std::remove(path.c_str());
 }
@@ -381,6 +413,149 @@ TEST(WireLockdb, OutOfRangeLeaseIsABadRequest) {
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(c.reps[2]->bad_requests(), 2u);
   EXPECT_EQ(c.reps[2]->data().at("x"), "3");
+}
+
+// Keys and values that cannot be encoded are refused by the driver, not
+// truncated on the way: a value is one token of "prep", a key one token
+// of "acq" and "get" and the left of "k=v" in a write set.
+
+std::uint64_t served(const Cluster& c) {
+  std::uint64_t n = 0;
+  for (const auto& r : c.reps) n += r->requests_served();
+  return n;
+}
+
+TEST(WireLockdb, WhitespaceValueIsRefusedNotTruncated) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    ASSERT_TRUE(c.driver->acquire(7, "x", LockMode::Exclusive));
+    const std::uint64_t before = served(c);
+    EXPECT_FALSE(c.driver->update(7, {{"x", "a b"}}));
+    EXPECT_FALSE(c.driver->update(7, {{"x", "a\tb"}}));
+    EXPECT_FALSE(c.driver->update(7, {{"x", "a;y=b"}}));
+    EXPECT_FALSE(c.driver->update(7, {{"x y", "1"}}));
+    EXPECT_FALSE(c.driver->update(7, {{"", "1"}}));
+    EXPECT_EQ(served(c), before) << "refused before sending anything";
+    EXPECT_EQ(c.driver->aborts(), 5u);
+    EXPECT_EQ(c.driver->commits(), 0u);
+    // The replica refuses a prep whose write set is more than one token.
+    EXPECT_EQ(raw_request(c, 0, "prep raw 7 x=a b"), "err bad request");
+    // An encodable value still commits, '=' included.
+    EXPECT_TRUE(c.driver->update(7, {{"x", "a=b"}}));
+    c.shutdown();
+  });
+  ASSERT_TRUE(c.sched.run().ok());
+  EXPECT_EQ(c.reps[0]->bad_requests(), 1u);
+  for (auto& r : c.reps) {
+    EXPECT_EQ(r->committed(), 1u);
+    EXPECT_EQ(r->data().at("x"), "a=b");
+  }
+}
+
+TEST(WireLockdb, UnencodableKeyGetIsNotAValue) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    const std::uint64_t before = served(c);
+    EXPECT_FALSE(c.driver->get("a b").has_value());
+    EXPECT_FALSE(c.driver->get("").has_value());
+    EXPECT_FALSE(c.driver->acquire(3, "a b", LockMode::Exclusive));
+    EXPECT_FALSE(c.driver->acquire(3, "a=b", LockMode::Shared));
+    EXPECT_FALSE(c.driver->acquire(3, "a;b", LockMode::Shared));
+    EXPECT_EQ(served(c), before) << "refused before sending anything";
+    c.shutdown();
+  });
+  ASSERT_TRUE(c.sched.run().ok());
+  for (auto& r : c.reps) EXPECT_EQ(r->bad_requests(), 0u);
+  for (auto& t : c.tables) EXPECT_EQ(t->holder_count("a b"), 0u);
+}
+
+// A replica releases a transaction's locks before it acks `dec`, so the
+// driver sends no `rel` to replicas that acked, unless the transaction
+// acquired again after its decision.
+
+TEST(WireLockdb, ReleaseAfterDecidedUpdateSendsNoRequest) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    ASSERT_TRUE(c.driver->acquire(7, "x", LockMode::Exclusive));
+    ASSERT_TRUE(c.driver->update(7, {{"x", "1"}}));
+    const std::uint64_t before = served(c);
+    c.driver->release(7);
+    EXPECT_EQ(served(c), before) << "every replica acked dec";
+    // The dec released x: a competing owner gets X on it.
+    EXPECT_TRUE(c.driver->acquire(8, "x", LockMode::Exclusive));
+    // Reads never decide, so their release still goes out.
+    ASSERT_TRUE(c.driver->acquire(9, "y", LockMode::Shared));
+    EXPECT_FALSE(c.driver->get("y").has_value());
+    const std::uint64_t before_read = served(c);
+    c.driver->release(9);
+    EXPECT_EQ(served(c), before_read + 3);
+    c.shutdown();
+  });
+  ASSERT_TRUE(c.sched.run().ok());
+  for (auto& t : c.tables) {
+    EXPECT_EQ(t->holder_count("x"), 1u);  // owner 8
+    EXPECT_EQ(t->holder_count("y"), 0u);
+  }
+}
+
+TEST(WireLockdb, AcquireAfterUpdateIsReleasedEverywhere) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    ASSERT_TRUE(c.driver->acquire(7, "x", LockMode::Exclusive));
+    ASSERT_TRUE(c.driver->update(7, {{"x", "1"}}));
+    // Taken after the decision: the dec did not cover it.
+    ASSERT_TRUE(c.driver->acquire(7, "z", LockMode::Exclusive));
+    const std::uint64_t before = served(c);
+    c.driver->release(7);
+    EXPECT_EQ(served(c), before + 3);
+    EXPECT_TRUE(c.driver->acquire(8, "z", LockMode::Exclusive));
+    c.shutdown();
+  });
+  ASSERT_TRUE(c.sched.run().ok());
+  for (auto& t : c.tables) {
+    EXPECT_EQ(t->holder_count("z"), 1u);  // owner 8 only
+    EXPECT_FALSE(t->holds("z", 7));
+  }
+}
+
+TEST(WireLockdb, VetoedUpdateLeavesNothingHeld) {
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    ASSERT_TRUE(c.driver->acquire(7, "x", LockMode::Exclusive));
+    // Replica 2 loses txn 7's lock, so it votes no after 0 and 1
+    // prepared: the dec abort must unpin and release x on those two.
+    EXPECT_EQ(raw_request(c, 2, "rel raw 7"), "ok 1");
+    EXPECT_FALSE(c.driver->update(7, {{"x", "1"}}));
+    EXPECT_EQ(c.driver->aborts(), 1u);
+    const std::uint64_t before = served(c);
+    c.driver->release(7);
+    EXPECT_EQ(served(c), before) << "every replica acked dec";
+    EXPECT_TRUE(c.driver->acquire(8, "x", LockMode::Exclusive));
+    c.shutdown();
+  });
+  ASSERT_TRUE(c.sched.run().ok());
+  for (auto& r : c.reps) EXPECT_EQ(r->data().count("x"), 0u);
+  for (auto& t : c.tables) EXPECT_FALSE(t->holds("x", 7));
+}
+
+TEST(WireLockdb, RequestTokensSplitOnEveryCLocaleSpace) {
+  // The same whitespace operator>> skips: space, \t, \n, \v, \f, \r,
+  // in runs, leading and trailing.
+  Cluster c;
+  c.sched.spawn("driver", [&] {
+    EXPECT_EQ(raw_request(c, 0, "  acq\traw \r\n 7\v\fx   X\t5 \r"), "ok");
+    EXPECT_EQ(raw_request(c, 0, "prep\t\traw\r7  x=1\n"), "yes");
+    EXPECT_EQ(raw_request(c, 0, "dec raw\f7\vcommit"), "ack");
+    EXPECT_EQ(raw_request(c, 0, "\tget  raw\r\nx"), "1");
+    EXPECT_EQ(raw_request(c, 0, "get raw x extra"), "err bad request");
+    EXPECT_EQ(raw_request(c, 0, "acq raw 7 y X 5 6"), "err bad request");
+    c.shutdown();
+  });
+  ASSERT_TRUE(c.sched.run().ok());
+  EXPECT_EQ(c.reps[0]->bad_requests(), 2u);
+  EXPECT_EQ(c.reps[0]->committed(), 1u);
+  EXPECT_EQ(c.reps[0]->data().at("x"), "1");
+  EXPECT_EQ(c.tables[0]->holder_count("x"), 0u);
 }
 
 }  // namespace

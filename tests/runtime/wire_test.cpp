@@ -308,4 +308,79 @@ TEST(TcpTransport, EintrOnEverySyscallIsInvisible) {
   EXPECT_EQ(server.stats().disconnects, 0u) << "EINTR must not drop links";
 }
 
+/// Brings the link up and lets the hello drain, so the next frame
+/// either side queues is the only traffic.
+bool connect_quietly(TcpTransport& server, TcpTransport& client) {
+  if (!server.listen(0)) return false;
+  client.add_peer(1, "127.0.0.1", server.bound_port());
+  return pump_until(client, server, [&] {
+    server.poll([](PeerId, std::string&&) {});
+    return client.link_state(1) == LinkState::Up &&
+           server.peers().size() == 1;
+  });
+}
+
+TEST(TcpTransport, SteadySendsMakeNoEpollCtl) {
+  // EPOLLOUT is armed only while a full socket holds output back; a
+  // frame the kernel takes at once costs no epoll_ctl on either side.
+  TcpTransport server(1), client(0);
+  ASSERT_TRUE(connect_quietly(server, client));
+  const auto client_ctls = client.stats().epoll_ctls;
+  const auto server_ctls = server.stats().epoll_ctls;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client.send(1, "ping"));
+    std::string got;
+    ASSERT_TRUE(pump_until(client, server, [&] {
+      server.poll([&](PeerId from, std::string&& f) {
+        got = f;
+        server.send(from, "pong");
+      });
+      return !got.empty();
+    }));
+    std::string back;
+    ASSERT_TRUE(pump_until(client, server, [&] {
+      client.poll([&](PeerId, std::string&& f) { back = f; });
+      return !back.empty();
+    }));
+    EXPECT_EQ(back, "pong");
+  }
+  EXPECT_EQ(client.stats().epoll_ctls, client_ctls);
+  EXPECT_EQ(server.stats().epoll_ctls, server_ctls);
+  EXPECT_GT(client.stats().syscalls, 0u);
+}
+
+TEST(TcpTransport, EagainArmsEpolloutAndTheFrameStillArrives) {
+  // A send() that returns EAGAIN leaves the frame queued and arms
+  // EPOLLOUT; the writable event writes it and disarms again.
+  TcpTransport server(1), client(0);
+  ASSERT_TRUE(connect_quietly(server, client));
+  static int eagains = 0;
+  static auto real = script::support::io;
+  script::support::io.send = [](int fd, const void* b, size_t l,
+                                int f) -> ssize_t {
+    if (eagains > 0) {
+      --eagains;
+      errno = EAGAIN;
+      return -1;
+    }
+    return real.send(fd, b, l, f);
+  };
+  const auto ctls = client.stats().epoll_ctls;
+  eagains = 1;
+  EXPECT_TRUE(client.send(1, "after a full socket"));
+  client.service();  // the flush meets EAGAIN
+  EXPECT_EQ(eagains, 0);
+  EXPECT_EQ(client.stats().epoll_ctls, ctls + 1) << "EPOLLOUT armed";
+  std::vector<std::string> got;
+  const bool ok = pump_until(client, server, [&] {
+    server.poll([&](PeerId, std::string&& f) { got.push_back(f); });
+    return !got.empty();
+  });
+  script::support::io = real;
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(got[0], "after a full socket");
+  EXPECT_EQ(client.stats().epoll_ctls, ctls + 2) << "EPOLLOUT disarmed";
+  EXPECT_EQ(client.stats().disconnects, 0u) << "EAGAIN must not drop links";
+}
+
 }  // namespace

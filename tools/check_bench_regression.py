@@ -54,6 +54,10 @@ ABS_LIMITS = {
     # PeerSupervisor + Wire pumps, heartbeats live, no app frames)
     # beside a dense fiber churn stays under 5%.
     "wire.arming_overhead_pct": 5.0,
+    # docs/PERFORMANCE.md: TcpTransport arms EPOLLOUT only while a full
+    # socket holds output back, so a steady loopback round trip makes
+    # no epoll_ctl call (bench_net_wire).
+    "tcp.epoll_ctls_per_roundtrip": 0.0,
     # docs/PERFORMANCE.md: a steady-state CSP rendezvous, named or
     # anonymous, performs no heap allocation (C7, counting operator new).
     "rendezvous.named.allocs_per_msg": 0.0,
